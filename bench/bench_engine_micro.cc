@@ -361,7 +361,9 @@ class JsonLineReporter : public benchmark::ConsoleReporter {
           it != run.counters.end() ? static_cast<double>(it->second) : 0.0;
       benchutil::JsonLine("bench_engine_micro")
           .Str("stage", run.benchmark_name())
-          .Num("wall_seconds", run.GetAdjustedRealTime() * 1e-9)
+          .Num("wall_seconds",
+               run.GetAdjustedRealTime() /
+                   benchmark::GetTimeUnitMultiplier(run.time_unit))
           .Num("events_per_second", items_per_second)
           .Append();
     }

@@ -1,25 +1,13 @@
 #include "mr/cluster.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <cstdint>
-#include <functional>
-#include <iterator>
-#include <mutex>
 #include <sstream>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
-#include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "mr/driver.h"
-#include "mr/runtime_util.h"
-#include "mr/skew.h"
-#include "mr/worker.h"
+#include "mr/pipeline.h"
 
 namespace timr::mr {
 
@@ -83,530 +71,14 @@ LocalCluster::~LocalCluster() = default;
 Status LocalCluster::RunStage(const MRStage& stage,
                               std::map<std::string, Dataset>* store,
                               StageStats* stats) {
-  if (process_.workers > 0) {
-    ProcessStageEnv env;
-    env.options = &process_;
-    env.injector = injector_;
-    env.fault = &fault_;
-    env.num_machines = num_machines_;
-    bool ran = false;
-    TIMR_RETURN_NOT_OK(RunStageProcess(stage, store, stats, env, &ran));
-    if (ran) return Status::OK();
-    // Process mode unavailable (TSan build, or not a single worker could be
-    // spawned): degrade to the thread-mode runtime with fresh stats.
-    *stats = StageStats{};
-  }
-  return RunStageThreaded(stage, store, stats);
-}
-
-Status LocalCluster::RunStageThreaded(const MRStage& stage,
-                                      std::map<std::string, Dataset>* store,
-                                      StageStats* stats) {
-  Stopwatch wall;
-  stats->name = stage.name;
-  const int parts = stage.num_partitions > 0 ? stage.num_partitions : num_machines_;
-  stats->partitions = parts;
-
-  // Adaptive repartitioning is live when the stage opted in *and* carries the
-  // key hash that makes whole-key sub-partitioning meaningful. When live, the
-  // map phase routes via key_hash_fn % parts directly — by HashPartitioner's
-  // construction the exact assignment partition_fn would have produced — so
-  // detection, routing, and the salted split all see one hash.
-  const SkewPolicy& skew = stage.skew;
-  const bool skew_enabled =
-      skew.adaptive_repartition && stage.key_hash_fn != nullptr && parts > 1;
-  const size_t sample_mask =
-      (size_t{1} << std::clamp(skew.sample_shift, 0, 20)) - 1;
-
-  std::vector<Dataset*> inputs;
-  for (const auto& name : stage.inputs) {
-    auto it = store->find(name);
-    if (it == store->end()) {
-      return Status::KeyError("stage " + stage.name + ": no dataset named " +
-                              name);
-    }
-    inputs.push_back(&it->second);
-  }
-  std::vector<Schema> schemas;
-  schemas.reserve(inputs.size());
-  for (const Dataset* d : inputs) schemas.push_back(d->schema());
-
-  // Consumable inputs (see stage.h): rows may be moved out of them.
-  const std::vector<bool> consumable = ConsumableInputFlags(stage);
-
-  // --- Phase 1: parallel map + partition. ---
-  // Each (input, source partition) is split into morsels; a morsel routes its
-  // row range into morsel-local per-destination buckets (RunMapTask — the
-  // task body shared with the worker process), so workers share no state.
-  // Morsel boundaries never affect the result: phase 2 concatenates buckets
-  // in morsel order, which reproduces source order exactly.
-  struct Morsel {
-    size_t input;
-    size_t src_part;
-    size_t begin;
-    size_t end;
-  };
-  size_t total_rows = 0;
-  for (const Dataset* d : inputs) total_rows += d->TotalRows();
-  const size_t workers = impl_->pool.num_threads();
-  const size_t morsel_rows =
-      std::max<size_t>(1024, total_rows / (workers * 4) + 1);
-  std::vector<Morsel> morsels;
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    for (size_t p = 0; p < inputs[i]->num_partitions(); ++p) {
-      const size_t n = inputs[i]->partition(p).size();
-      for (size_t begin = 0; begin < n; begin += morsel_rows) {
-        morsels.push_back({i, p, begin, std::min(begin + morsel_rows, n)});
-      }
-    }
-  }
-
-  const bool quarantine = fault_.quarantine_inputs;
-  std::vector<MapTaskResult> mouts(morsels.size());
-  std::vector<Status> mstatus(morsels.size());
-  std::atomic<bool> map_failed{false};
-  impl_->pool.ParallelFor(morsels.size(), [&](size_t m) {
-    const Morsel& mo = morsels[m];
-    MapTaskSpec spec;
-    spec.task_id = static_cast<uint32_t>(m);
-    spec.input_index = static_cast<int>(mo.input);
-    spec.src_partition = mo.src_part;
-    spec.begin = mo.begin;
-    spec.end = mo.end;
-    spec.parts = parts;
-    spec.quarantine = quarantine;
-    spec.skew_enabled = skew_enabled;
-    spec.may_move = consumable[mo.input];
-    spec.sample_mask = sample_mask;
-    mstatus[m] = RunMapTask(stage, inputs[mo.input]->schema(),
-                            &inputs[mo.input]->partition(mo.src_part), spec,
-                            &mouts[m], &map_failed);
-    if (!mstatus[m].ok()) map_failed.store(true, std::memory_order_relaxed);
-  });
-  for (const Status& st : mstatus) {
-    // First error in morsel order, for a deterministic message.
-    TIMR_RETURN_NOT_OK(st);
-  }
-  for (const MapTaskResult& out : mouts) {
-    stats->rows_in += out.rows_in;
-    stats->rows_shuffled += out.rows_shuffled;
-    stats->quarantined_rows += out.quarantined.size();
-  }
-  // Poison-row budget: a trickle of bad rows is diverted, a flood means the
-  // input itself is wrong and the stage must not silently drop it.
-  if (stats->quarantined_rows > 0) {
-    const double rate = static_cast<double>(stats->quarantined_rows) /
-                        static_cast<double>(stats->rows_in);
-    if (rate > fault_.max_input_error_rate) {
-      std::string first;
-      for (const MapTaskResult& out : mouts) {
-        if (!out.first_bad.empty()) {
-          first = out.first_bad;
-          break;
-        }
-      }
-      std::ostringstream os;
-      os << "stage " << stage.name << ": " << stats->quarantined_rows << " of "
-         << stats->rows_in << " input rows (" << rate * 100
-         << "%) failed schema validation, exceeding max_input_error_rate="
-         << fault_.max_input_error_rate << "; first error: " << first;
-      return Status::DataError(os.str());
-    }
-  }
-  Dataset quarantine_out;
-  if (quarantine) {
-    std::vector<Row> qrows;
-    qrows.reserve(stats->quarantined_rows);
-    for (MapTaskResult& out : mouts) {
-      // Morsel order is source order, so the quarantine dataset is
-      // deterministic for any thread count like every other output.
-      for (Row& q : out.quarantined) qrows.push_back(std::move(q));
-      out.quarantined.clear();
-    }
-    quarantine_out = Dataset::FromRows(QuarantineSchema(), std::move(qrows));
-  }
-  // Release consumed inputs: their rows are either moved into the shuffle or
-  // copied there, and the stage owns the only remaining reference.
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    if (!consumable[i]) continue;
-    for (size_t p = 0; p < inputs[i]->num_partitions(); ++p) {
-      std::vector<Row>().swap(inputs[i]->partition(p));
-    }
-  }
-
-  // Row-count skew over the routing (always recorded — the detector's input,
-  // and the row twin of partition_seconds_max/median).
-  std::vector<size_t> routed_rows(parts, 0);
-  for (const MapTaskResult& out : mouts) {
-    for (int p = 0; p < parts; ++p) routed_rows[p] += out.buckets[p].size();
-  }
-  {
-    std::vector<double> as_double(routed_rows.begin(), routed_rows.end());
-    stats->partition_rows_max =
-        routed_rows.empty()
-            ? 0
-            : *std::max_element(routed_rows.begin(), routed_rows.end());
-    stats->partition_rows_median = MedianOf(std::move(as_double));
-  }
-
-  // --- Adaptive repartitioning: detect hot partitions, split their hot keys
-  // across virtual partitions (skew.h — the same pure decision functions the
-  // multi-process driver uses, so both modes split identically).
-  std::vector<SplitDecision> decisions;
-  const int fanout = std::max(2, skew.hot_key_fanout);
-  if (skew_enabled) {
-    const double median_rows = std::max(stats->partition_rows_median, 1.0);
-    std::unordered_map<uint64_t, uint64_t> sketch;
-    for (MapTaskResult& out : mouts) {
-      for (const auto& [h, c] : out.sketch) sketch[h] += c;
-      out.sketch.clear();
-    }
-    decisions =
-        DecidePartitionSplits(skew, routed_rows, median_rows, sketch, parts);
-  }
-
-  int phys_parts = parts;
-  std::vector<int> vbase(decisions.size(), 0);
-  for (size_t d = 0; d < decisions.size(); ++d) {
-    vbase[d] = phys_parts;
-    phys_parts += fanout;
-  }
-  if (!decisions.empty()) {
-    const uint64_t stage_salt = StageSalt(stage.name);
-    impl_->pool.ParallelFor(morsels.size(), [&](size_t m) {
-      MapTaskResult& out = mouts[m];
-      out.buckets.resize(static_cast<size_t>(phys_parts));
-      const int input_index = static_cast<int>(morsels[m].input);
-      for (size_t d = 0; d < decisions.size(); ++d) {
-        RerouteHotRows(stage.key_hash_fn, input_index, stage_salt, fanout,
-                       decisions[d], vbase[d], &out.buckets);
-      }
-    });
-    std::vector<double> phys_rows(phys_parts, 0.0);
-    for (const MapTaskResult& out : mouts) {
-      for (int p = 0; p < phys_parts; ++p) {
-        phys_rows[p] += static_cast<double>(out.buckets[p].size());
-      }
-    }
-    const double phys_max =
-        *std::max_element(phys_rows.begin(), phys_rows.end());
-    stats->post_split_rows_ratio =
-        phys_max / std::max(MedianOf(std::move(phys_rows)), 1.0);
-    for (const SplitDecision& d : decisions) {
-      stats->hot_keys_detected += static_cast<int>(d.hot_keys.size());
-    }
-    stats->partitions_split = static_cast<int>(decisions.size());
-    stats->virtual_partitions = phys_parts - parts;
-  }
-
-  // Physical partition -> base (pre-split) partition, and which tasks' outputs
-  // must be canonically sorted so the coalesce can k-way merge them. Outputs
-  // of unsplit partitions are never touched: a run where nothing splits is
-  // byte-for-byte identical to one with the policy off.
-  std::vector<int> base_of(phys_parts);
-  std::vector<char> sort_output(phys_parts, 0);
-  for (int p = 0; p < parts; ++p) base_of[p] = p;
-  for (size_t d = 0; d < decisions.size(); ++d) {
-    sort_output[decisions[d].partition] = 1;
-    for (int s = 0; s < fanout; ++s) {
-      base_of[vbase[d] + s] = decisions[d].partition;
-      sort_output[vbase[d] + s] = 1;
-    }
-  }
-  stats->map_shuffle_seconds = wall.ElapsedSeconds();
-
-  // --- Phase 2: parallel merge + sort per (partition, input) bucket. ---
-  // Concatenate morsel buckets in morsel order, then sort by Time (canonical
-  // total order; see header comment). Each bucket is an independent task.
-  Stopwatch sort_watch;
-  std::vector<std::vector<std::vector<Row>>> buckets(
-      phys_parts, std::vector<std::vector<Row>>(inputs.size()));
-  try {
-    impl_->pool.ParallelFor(
-        static_cast<size_t>(phys_parts) * inputs.size(), [&](size_t task) {
-          const size_t p = task / inputs.size();
-          const size_t i = task % inputs.size();
-          std::vector<Row>& dst = buckets[p][i];
-          size_t total = 0;
-          for (size_t m = 0; m < morsels.size(); ++m) {
-            if (morsels[m].input == i) total += mouts[m].buckets[p].size();
-          }
-          dst.reserve(total);
-          for (size_t m = 0; m < morsels.size(); ++m) {
-            if (morsels[m].input != i) continue;
-            std::vector<Row>& src = mouts[m].buckets[p];
-            dst.insert(dst.end(), std::make_move_iterator(src.begin()),
-                       std::make_move_iterator(src.end()));
-            std::vector<Row>().swap(src);
-          }
-          std::sort(dst.begin(), dst.end(), RowTimeLess);
-        });
-  } catch (const std::exception& e) {
-    // Reached e.g. when a row's Time cell is not int64 (std::bad_variant_access
-    // in the sort comparator) and quarantine_inputs was off to catch it
-    // upstream.
-    return Status::ExecutionError(
-        "stage " + stage.name + ": shuffle sort threw: " + e.what() +
-        " (malformed rows? FaultToleranceOptions::quarantine_inputs diverts "
-        "them)");
-  }
-  mouts.clear();
-  stats->sort_seconds = sort_watch.ElapsedSeconds();
-
-  // --- Phase 3: fault-handling reduce, one task per partition. ---
-  //
-  // Each partition runs as a sequence of *attempts* (RunReduceAttempt — the
-  // task body shared with the worker process). An attempt that throws or
-  // returns an error discards its output and is retried, up to
-  // max_task_attempts; exhausting the budget fails the stage with a
-  // structured kTaskFailed naming stage/partition/attempts. With speculative
-  // execution on, the caller thread doubles as a straggler monitor: an
-  // attempt running much longer than the median completed attempt gets a
-  // backup, the first finisher wins, and both outputs are compared when both
-  // complete — the paper's §III-C.1 repeatability claim as a runtime check.
-  // An installed FaultInjector is probed at the start of every attempt and
-  // can make the attempt crash, error, stall, lose output, or read a
-  // corrupted row.
-  Stopwatch reduce_watch;
-  Dataset output(stage.output_schema, parts);
-  const int max_attempts = std::max(1, fault_.max_task_attempts);
-  const bool speculate = fault_.speculative_execution;
-
-  struct TaskState {
-    std::mutex mu;
-    int attempts_started = 0;  // speculative backups included
-    int failed_attempts = 0;
-    int retried = 0;           // failed attempts that were re-run
-    int speculative = 0;       // backup attempts launched
-    bool accepted = false;     // an attempt's output has been accepted
-    bool won_by_backup = false;
-    bool backup_launched = false;
-    bool done = false;         // terminal: accepted or failed for good
-    int running = 0;           // attempts submitted and not yet finished
-    int executing = 0;         // attempts currently on a worker thread
-    std::chrono::steady_clock::time_point attempt_start{};
-    std::vector<Row> out_rows;
-    Status terminal_error;     // set on exhaustion / determinism violation
-    double cpu_seconds = 0;
-  };
-  std::vector<std::unique_ptr<TaskState>> tasks;
-  tasks.reserve(phys_parts);
-  for (int p = 0; p < phys_parts; ++p) {
-    tasks.push_back(std::make_unique<TaskState>());
-  }
-
-  std::atomic<int> outstanding{phys_parts};
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  std::mutex walls_mu;
-  std::vector<double> completed_walls;  // wall time of successful attempts
-
-  std::function<void(int, int, bool)> run_attempt;
-
-  // Launch one more attempt for partition p. Caller holds tasks[p]->mu.
-  auto launch = [&](int p, bool is_backup) {
-    TaskState& t = *tasks[p];
-    const int attempt = t.attempts_started++;
-    t.running++;
-    if (is_backup) {
-      t.backup_launched = true;
-      t.speculative++;
-    }
-    impl_->pool.Submit(
-        [&run_attempt, p, attempt, is_backup] { run_attempt(p, attempt, is_backup); });
-  };
-
-  auto signal_done = [&] {
-    outstanding.fetch_sub(1, std::memory_order_acq_rel);
-    std::lock_guard<std::mutex> g(done_mu);
-    done_cv.notify_all();
-  };
-
-  run_attempt = [&](int p, int attempt, bool is_backup) {
-    TaskState& t = *tasks[p];
-    {
-      std::lock_guard<std::mutex> lock(t.mu);
-      t.executing++;
-      t.attempt_start = std::chrono::steady_clock::now();
-    }
-    ReduceAttemptContext ctx;
-    ctx.stage = &stage;
-    ctx.physical_partition = p;
-    ctx.base_partition = base_of[p];
-    ctx.attempt = attempt;
-    ctx.sort_output = sort_output[p] != 0;
-    ctx.buckets = &buckets[p];
-    ctx.input_schemas = &schemas;
-    if (injector_ != nullptr) {
-      ctx.fault = injector_->OnReduceAttempt(stage.name, p, attempt, max_attempts);
-    }
-    Stopwatch attempt_wall;
-    const double cpu0 = ThreadCpuSeconds();
-    std::vector<Row> out_rows;
-    Status st = RunReduceAttempt(ctx, &out_rows);
-    const double cpu = ThreadCpuSeconds() - cpu0;
-    const double wall_s = attempt_wall.ElapsedSeconds();
-    if (st.ok()) {
-      std::lock_guard<std::mutex> wl(walls_mu);
-      completed_walls.push_back(wall_s);
-    }
-    bool terminal = false;
-    {
-      std::lock_guard<std::mutex> lock(t.mu);
-      t.cpu_seconds += cpu;
-      t.executing--;
-      t.running--;
-      if (st.ok()) {
-        if (!t.accepted) {
-          // First finisher wins (primary or backup alike).
-          t.accepted = true;
-          t.out_rows = std::move(out_rows);
-          t.won_by_backup = is_backup;
-        } else if (fault_.verify_speculative_outputs &&
-                   t.terminal_error.ok() && out_rows != t.out_rows) {
-          t.terminal_error = Status::ExecutionError(
-              TaskLabel(stage.name, p) +
-              ": determinism violation: speculative and primary attempts "
-              "produced different outputs (" +
-              std::to_string(out_rows.size()) + " vs " +
-              std::to_string(t.out_rows.size()) +
-              " rows); §III-C.1 requires re-executed tasks to be repeatable");
-        }
-      } else {
-        t.failed_attempts++;
-        if (!t.accepted) {
-          if (t.attempts_started < max_attempts) {
-            t.retried++;
-            launch(p, /*is_backup=*/false);
-          } else if (t.running == 0) {
-            t.terminal_error = Status::TaskFailed(
-                TaskLabel(stage.name, p) + ": task failed after " +
-                std::to_string(t.attempts_started) +
-                " attempts; last error: " + st.ToString());
-          }
-          // else: a twin attempt is still in flight; it decides the outcome.
-        }
-      }
-      if (!t.done && t.running == 0 &&
-          (t.accepted || !t.terminal_error.ok())) {
-        t.done = true;
-        terminal = true;
-      }
-    }
-    if (terminal) signal_done();
-  };
-
-  for (int p = 0; p < phys_parts; ++p) {
-    std::lock_guard<std::mutex> lock(tasks[p]->mu);
-    launch(p, /*is_backup=*/false);
-  }
-
-  if (!speculate) {
-    std::unique_lock<std::mutex> lk(done_mu);
-    done_cv.wait(lk, [&] {
-      return outstanding.load(std::memory_order_acquire) <= 0;
-    });
-  } else {
-    // The caller thread is the straggler monitor: wake periodically, compute
-    // the median completed-attempt wall time, and give any attempt running
-    // past max(min_straggler_seconds, straggler_factor * median) a backup.
-    // The poll interval scales with the detection floor so an idle monitor
-    // costs nothing measurable: detection latency of ~threshold/8 is
-    // invisible next to the straggler itself.
-    const auto poll = std::chrono::milliseconds(std::clamp(
-        static_cast<long>(fault_.min_straggler_seconds * 1000.0 / 8.0), 2L,
-        100L));
-    std::unique_lock<std::mutex> lk(done_mu);
-    while (outstanding.load(std::memory_order_acquire) > 0) {
-      done_cv.wait_for(lk, poll);
-      if (outstanding.load(std::memory_order_acquire) <= 0) break;
-      double median = 0;
-      size_t completed = 0;
-      {
-        std::lock_guard<std::mutex> wl(walls_mu);
-        completed = completed_walls.size();
-        if (completed > 0) {
-          std::vector<double> w = completed_walls;
-          std::nth_element(w.begin(), w.begin() + w.size() / 2, w.end());
-          median = w[w.size() / 2];
-        }
-      }
-      if (completed == 0) continue;  // no baseline to call a straggler against
-      const double threshold = std::max(fault_.min_straggler_seconds,
-                                        fault_.straggler_factor * median);
-      const auto now = std::chrono::steady_clock::now();
-      for (int p = 0; p < phys_parts; ++p) {
-        TaskState& t = *tasks[p];
-        std::lock_guard<std::mutex> lock(t.mu);
-        if (t.done || t.accepted || t.backup_launched || t.executing == 0 ||
-            t.attempts_started >= max_attempts) {
-          continue;
-        }
-        const double elapsed =
-            std::chrono::duration<double>(now - t.attempt_start).count();
-        if (elapsed > threshold) launch(p, /*is_backup=*/true);
-      }
-    }
-  }
-  // All partitions are terminal; drain the pool so every attempt closure has
-  // fully unwound before the state it references goes out of scope.
-  impl_->pool.WaitIdle();
-  stats->reduce_seconds = reduce_watch.ElapsedSeconds();
-
-  std::vector<double> task_seconds(phys_parts, 0.0);
-  for (int p = 0; p < phys_parts; ++p) {
-    TaskState& t = *tasks[p];
-    stats->task_attempts += t.attempts_started;
-    stats->retried_tasks += t.retried;
-    stats->speculative_tasks += t.speculative;
-    if (t.won_by_backup) stats->speculative_won++;
-    task_seconds[p] = t.cpu_seconds;
-    stats->task_cpu_seconds_total += t.cpu_seconds;
-    stats->task_cpu_seconds_max =
-        std::max(stats->task_cpu_seconds_max, t.cpu_seconds);
-  }
-  for (int p = 0; p < phys_parts; ++p) {
-    // First error in partition order, for a deterministic message. Nothing is
-    // added to the store on failure — no partial output survives.
-    TIMR_RETURN_NOT_OK(tasks[p]->terminal_error);
-  }
-  for (int p = 0; p < parts; ++p) {
-    output.partition(p) = std::move(tasks[p]->out_rows);
-  }
-  // Coalesce: k-way merge each split partition's virtual outputs back into
-  // its base partition. Every run involved is already in canonical
-  // RowTimeLess order (sorted at acceptance), so a pairwise merge tree
-  // reconstructs one canonically ordered partition — the logical output keeps
-  // `parts` partitions, as if no split had happened.
-  for (size_t d = 0; d < decisions.size(); ++d) {
-    std::vector<std::vector<Row>> runs;
-    runs.reserve(1 + static_cast<size_t>(fanout));
-    runs.push_back(std::move(output.partition(decisions[d].partition)));
-    for (int s = 0; s < fanout; ++s) {
-      runs.push_back(std::move(tasks[vbase[d] + s]->out_rows));
-    }
-    output.partition(decisions[d].partition) = MergeSortedRuns(std::move(runs));
-  }
-  for (int p = 0; p < parts; ++p) {
-    stats->rows_out += output.partition(p).size();
-  }
-  // The makespan and time-skew stats run over the *physical* tasks: with
-  // splits applied they show the rebalanced schedule the policy bought.
-  stats->simulated_parallel_seconds = Makespan(task_seconds, num_machines_);
-  if (!task_seconds.empty()) {
-    // Skew signal for adaptive repartitioning: the slowest partition vs the
-    // median one.
-    stats->partition_seconds_max =
-        *std::max_element(task_seconds.begin(), task_seconds.end());
-    stats->partition_seconds_median = MedianOf(task_seconds);
-  }
-  stats->wall_seconds = wall.ElapsedSeconds();
-
-  (*store)[stage.output] = std::move(output);
-  if (quarantine) {
-    (*store)[QuarantineDatasetName(stage.name)] = std::move(quarantine_out);
-  }
-  return Status::OK();
+  *stats = StageStats{};
+  StageEnv env;
+  env.pool = &impl_->pool;
+  env.injector = injector_;
+  env.fault = &fault_;
+  env.process = &process_;
+  env.num_machines = num_machines_;
+  return RunStagePipeline(stage, env, store, stats);
 }
 
 Result<JobStats> LocalCluster::RunJob(const std::vector<MRStage>& stages,

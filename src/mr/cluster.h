@@ -7,32 +7,37 @@
 //    by full row comparison so reducer input is canonical — a restarted
 //    reducer sees byte-identical input, which together with the temporal
 //    algebra gives the paper's repeatable-output failure handling, §III-C.1);
-//  - reduce: one task per partition, run on a thread pool.
+//  - reduce: one task per partition.
 //
-// All three phases run in parallel on the cluster's thread pool:
-//  1. map/partition — source partitions are split into morsels, each routed
-//     into morsel-local per-destination buckets (no shared state), with rows
-//     *moved* instead of copied when the partitioner emits a single target
-//     and the stage marks the input consumable (MRStage::consumable_inputs).
-//     With quarantine enabled (FaultToleranceOptions::quarantine_inputs),
-//     rows failing schema checks are diverted to `<stage>.quarantine`;
-//  2. merge + sort — morsel buckets are concatenated per (partition, input)
-//     in morsel order and sorted as independent pool tasks. The sort order is
-//     a canonical total order, so reducer input — and therefore every stage
-//     output — is byte-identical for any thread count;
-//  3. reduce — the fault-handling task scheduler (see fault.h): exceptions
-//     are contained at the task boundary, failed attempts are retried up to
-//     max_task_attempts with per-attempt output discard, stragglers can get
-//     speculative backups whose outputs are byte-compared against the
-//     primary's, and injected faults (FaultInjector) exercise all of it.
+// Every stage runs through one stage pipeline (pipeline.h) over one of two
+// task backends:
+//  - the in-process backend (the default) runs map tasks and reduce attempts
+//    on the cluster's thread pool;
+//  - the worker-gang backend (driver.h, ProcessOptions::workers > 0) ships
+//    them to forked worker processes over hash-checked RPC, and is only a
+//    transport: heartbeats, deadlines, re-dispatch, respawn. Without process
+//    support (TSan) or without a single spawned worker, the stage uses the
+//    in-process backend.
+// The pipeline owns the rest, identically for both backends: morsel planning
+// and map routing (rows *moved* instead of copied when the partitioner emits
+// a single target and the stage marks the input consumable); poison-row
+// quarantine (FaultToleranceOptions::quarantine_inputs) into
+// `<stage>.quarantine`; adaptive skew splits; the canonical shuffle sort on
+// the thread pool, so reducer input — and every stage output — is
+// byte-identical for any thread count and either backend; and the reduce
+// attempt scheduler (see fault.h), which contains exceptions at the task
+// boundary, retries failed attempts up to max_task_attempts with per-attempt
+// output discard, gives stragglers speculative backups whose outputs are
+// byte-compared against the accepted one, and probes the FaultInjector once
+// per attempt.
 //
 // With SkewPolicy::adaptive_repartition on (per stage or via JobOptions), a
-// sampled hot-key sketch rides phase 1; a partition whose routed row count
-// exceeds the configured skew ratio has its hot keys split across salted
-// virtual partitions that sort and reduce independently (phases 2–3) and are
-// k-way merged back into the base partition in canonical order. Decisions
-// are pure functions of the input data, so outputs stay bit-identical across
-// thread counts, retries, and chaos; see SkewPolicy in stage.h.
+// sampled hot-key sketch rides the map phase; a partition whose routed row
+// count exceeds the configured skew ratio has its hot keys split across
+// salted virtual partitions that sort and reduce independently and are k-way
+// merged back into the base partition in canonical order. Decisions are pure
+// functions of the input data, so outputs stay bit-identical across thread
+// counts, retries, and chaos; see SkewPolicy in stage.h.
 //
 // Because this host has few cores while the paper's cluster had ~150
 // machines, every task's CPU time is measured (CLOCK_THREAD_CPUTIME_ID) and a
@@ -66,7 +71,7 @@ struct StageStats {
   // Per-phase wall time (sums to ~wall_seconds); lets benches attribute a
   // stage's cost to routing, sorting, or the reducers.
   double map_shuffle_seconds = 0;     // phase 1: parallel map + routing
-  double sort_seconds = 0;            // phase 2: parallel merge + sort
+  double sort_seconds = 0;            // phase 2: merge + canonical sort
   double reduce_seconds = 0;          // phase 3: fault-handling reduce
   double task_cpu_seconds_total = 0;  // sum over reducer attempts
   double task_cpu_seconds_max = 0;    // slowest single reducer task
@@ -99,7 +104,7 @@ struct StageStats {
   int retried_tasks = 0;
   int speculative_tasks = 0;
   int speculative_won = 0;
-  // Multi-process runtime counters (driver.h); all zero in thread mode.
+  // Worker-gang backend counters (driver.h); all zero in thread mode.
   // workers is the gang size actually spawned; worker_restarts counts
   // respawns after a worker loss; rpc_retries counts transport-level task
   // re-dispatches (RPC deadline, worker death, dropped response);
@@ -148,9 +153,9 @@ struct JobOptions {
   SkewPolicy skew;
 };
 
-/// Multi-process runtime knobs (driver.h). With workers == 0 (the default)
-/// every stage runs on the in-process thread pool; with workers > 0 stages
-/// run on a gang of forked worker processes, falling back to thread mode
+/// Worker-gang backend knobs (driver.h). With workers == 0 (the default)
+/// every stage runs on the in-process backend; with workers > 0 tasks run on
+/// a gang of forked worker processes, falling back to the in-process backend
 /// when process mode is unsupported (TSan) or no worker can be spawned.
 struct ProcessOptions {
   int workers = 0;
@@ -168,10 +173,9 @@ struct ProcessOptions {
   /// answers. Chaos tests that drop responses lower it.
   double rpc_timeout_seconds = 60.0;
 
-  /// Transport re-dispatches allowed per task before the driver gives up on
-  /// shipping it and runs it in-process. Requeued tasks wait
-  /// min(backoff_cap, backoff_base * 2^(dispatches-1)) before re-dispatch.
-  int max_rpc_retries = 3;
+  /// Backoff before a requeued task is re-dispatched:
+  /// min(backoff_cap, backoff_base * 2^dispatches). After three
+  /// re-dispatches the task runs in-process instead.
   double backoff_base_seconds = 0.01;
   double backoff_cap_seconds = 0.25;
 
@@ -197,10 +201,6 @@ class LocalCluster {
   /// Install a fault source probed at every reduce attempt (fault.h);
   /// nullptr disables injection. Not owned.
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
-  /// Back-compat spelling for the scripted one-shot injector.
-  void set_failure_injector(FailureInjector* injector) {
-    set_fault_injector(injector);
-  }
 
   /// Retry / speculation / quarantine policy for subsequent RunStage calls.
   void set_fault_tolerance(const FaultToleranceOptions& options) {
@@ -208,8 +208,8 @@ class LocalCluster {
   }
   const FaultToleranceOptions& fault_tolerance() const { return fault_; }
 
-  /// Multi-process execution for subsequent RunStage calls (workers == 0
-  /// keeps the in-process thread pool). See ProcessOptions / driver.h.
+  /// Task backend for subsequent RunStage calls (workers == 0 keeps the
+  /// in-process backend). See ProcessOptions / driver.h.
   void set_process_options(const ProcessOptions& options) {
     process_ = options;
   }
@@ -231,10 +231,6 @@ class LocalCluster {
                           const JobOptions& options);
 
  private:
-  Status RunStageThreaded(const MRStage& stage,
-                          std::map<std::string, Dataset>* store,
-                          StageStats* stats);
-
   int num_machines_;
   class Impl;
   std::unique_ptr<Impl> impl_;

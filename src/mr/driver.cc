@@ -13,20 +13,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <mutex>
-#include <sstream>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/hash.h"
-#include "common/stopwatch.h"
 #include "mr/rpc.h"
-#include "mr/runtime_util.h"
-#include "mr/skew.h"
-#include "mr/worker.h"
 
 namespace timr::mr {
 
@@ -46,7 +38,11 @@ bool ProcessModeSupported() {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using Clock = TaskBackend::Clock;
+
+/// Transport re-dispatches allowed per task before it runs in-process.
+/// Requeued tasks wait min(backoff_cap, backoff_base * 2^dispatches).
+constexpr int kMaxRpcRetries = 3;
 
 int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -59,7 +55,7 @@ Clock::duration DurationOf(double seconds) {
       std::chrono::duration<double>(seconds));
 }
 
-/// What a reader thread hands the scheduler: a response frame from its
+/// What a reader thread hands the transport loop: a response frame from its
 /// worker, or the news that the worker's connection is gone.
 struct Event {
   enum class Kind : uint8_t { kResponse, kDead };
@@ -71,143 +67,84 @@ struct Event {
 struct WorkerSlot {
   pid_t pid = -1;
   int fd = -1;         // driver-side end of the socketpair
-  bool alive = false;  // scheduler's view; set false exactly once per spawn
-  int inflight = -1;   // task currently dispatched here, -1 = idle
+  bool alive = false;  // transport's view; set false exactly once per spawn
+  int inflight = -1;   // shipment currently dispatched here, -1 = idle
   std::atomic<int64_t> last_beat_ns{0};  // any frame counts as liveness
   std::thread reader;
 };
 
-/// Per-task transport state for one RunTasks call.
-struct TaskRt {
+/// One unit of transport work: a map task or one reduce attempt. Shipment
+/// ids are unique for the backend's lifetime, across both phases.
+struct Shipment {
   enum class St : uint8_t { kPending, kInflight, kDone };
   St st = St::kPending;
-  int dispatches = 0;             // transport sends so far (chaos keying)
-  int attempt_first_dispatch = 0; // dispatches before this belong to dead
-                                  // attempts; their late responses are stale
+  bool map = true;
+  int task = 0;                  // morsel index / physical partition
+  ReduceAttemptContext reduce;   // reduce shipments only
   int worker = -1;
-  Clock::time_point eligible{};   // backoff gate for the next dispatch
-  Clock::time_point deadline{};   // RPC deadline of the current dispatch
-  bool committed = false;         // kDone via an accepted response/fallback
+  Clock::time_point eligible{};  // backoff gate for the next dispatch
+  Clock::time_point deadline{};  // RPC deadline of the current dispatch
 };
 
-enum class CommitOutcome : uint8_t { kCommitted, kRetryTask };
-
-/// Runs one stage over a gang of forked workers. Single-threaded scheduler:
-/// only reader threads run concurrently, and they touch nothing but the event
-/// queue and their slot's heartbeat stamp.
-class StageRunner {
+/// The transport loop is single-threaded on the caller: only reader threads
+/// run concurrently, and they touch nothing but the event queue and their
+/// slot's heartbeat stamp.
+class WorkerBackend final : public TaskBackend {
  public:
-  StageRunner(const MRStage& stage, std::map<std::string, Dataset>* store,
-              StageStats* stats, const ProcessStageEnv& env)
-      : stage_(stage),
-        store_(store),
-        stats_(stats),
-        env_(env),
-        opts_(*env.options) {}
+  WorkerBackend(const StageInputs& in, const ProcessOptions& opts,
+                StageStats* stats)
+      : in_(in), opts_(opts), stats_(stats) {}
+  ~WorkerBackend() override { ShutdownAll(); }
 
-  ~StageRunner() { ShutdownAll(); }
+  int SpawnGang(int n);
 
-  Status Run(bool* ran);
+  size_t parallelism() const override { return workers_.size(); }
+
+  void RunMaps(const std::vector<MapTaskSpec>& specs,
+               std::vector<MapTaskResult>* results,
+               std::vector<Status>* statuses) override;
+  void StartReduce(const ReduceAttemptContext& ctx) override;
+  void Wait(Clock::time_point deadline,
+            std::vector<AttemptReport>* reports) override;
 
  private:
   // ---- gang management ----
   bool Spawn(int slot);
-  int SpawnGang(int n);
   bool TryRespawn();
-  void OnWorkerLost(int slot, std::vector<TaskRt>* ts, std::deque<int>* ready);
+  void OnWorkerLost(int slot);
   void ShutdownWorker(int slot, bool clean);
   void ShutdownAll();
   int AliveCount() const;
   int FindIdleWorker() const;
 
-  // ---- transport scheduler ----
-  using EncodeFn = std::function<std::string(int task, int dispatch)>;
-  /// Consume a response payload for `task`. With duplicate=false the task is
-  /// live: kCommitted finishes it, kRetryTask requeues it as a fresh
-  /// app-level attempt. With duplicate=true the task already committed: the
-  /// callback verifies the duplicate output matches the accepted one
-  /// (§III-C.1 repeatability as a runtime check) and must not change state.
-  /// A non-OK return is sticky for duplicates (determinism violation fails
-  /// the stage) and means "transport garbage, requeue" otherwise.
-  using CommitFn = std::function<Status(int task, std::string_view payload,
-                                        bool duplicate, CommitOutcome* out)>;
-  /// Execute the task fully in-process (graceful degradation); must leave the
-  /// task's phase state exactly as a committed response would.
-  using FallbackFn = std::function<void(int task)>;
+  // ---- transport ----
+  void BeginPhase(rpc::MsgType resp_type);
+  void Enqueue(Shipment s);
+  void Requeue(int id);
+  bool Dispatch(int id, int worker, Clock::time_point now);
+  /// Decode a response into the shipment's result; false = garbage.
+  bool Complete(int id, std::string_view payload);
+  void RunInProcess(int id);
+  /// One round of the loop: dispatch, sleep until an event or `deadline`,
+  /// handle events, sweep heartbeat and RPC deadlines.
+  void Pump(Clock::time_point deadline);
 
-  Status RunTasks(rpc::MsgType req_type, rpc::MsgType resp_type, int num_tasks,
-                  const EncodeFn& encode, const CommitFn& commit,
-                  const FallbackFn& fallback);
-  void RequeueTransport(int task, std::vector<TaskRt>* ts,
-                        std::deque<int>* ready);
-  void DrainStaleEvents();
-
-  // ---- the stage itself ----
-  Status Prepare();  // resolve inputs, build morsels
-  Status MapPhase();
-  Status AfterMap();  // budgets, quarantine, skew split, bucket assembly
-  Status ReducePhase();
-  Status Finish();    // coalesce, stats, publish output
-
-  MapTaskSpec SpecFor(int t, int dispatch) const;
-  Fault ProbeFault(int t) {
-    // One injector draw per app-level attempt; re-dispatches of the same
-    // attempt reuse it (the injector may be a stateful one-shot).
-    if (!fault_drawn_[t]) {
-      if (env_.injector != nullptr) {
-        faults_[t] = env_.injector->OnReduceAttempt(
-            stage_.name, t, attempts_started_[t], max_attempts_);
-      } else {
-        faults_[t] = Fault{};
-      }
-      fault_drawn_[t] = 1;
-      attempts_started_[t]++;
-    }
-    return faults_[t];
-  }
-
-  const MRStage& stage_;
-  std::map<std::string, Dataset>* store_;
-  StageStats* stats_;
-  const ProcessStageEnv& env_;
+  const StageInputs& in_;
   const ProcessOptions& opts_;
+  StageStats* stats_;
 
-  Stopwatch wall_;
-  int parts_ = 0;
-  bool skew_enabled_ = false;
-  uint64_t sample_mask_ = 0;
-  bool quarantine_ = false;
-  int max_attempts_ = 1;
-  std::vector<Dataset*> inputs_;
-  std::vector<Schema> schemas_;
-  std::vector<bool> consumable_;
+  rpc::MsgType resp_type_ = rpc::MsgType::kMapResponse;  // current phase
+  std::vector<Shipment> ships_;
+  std::deque<int> ready_;
+  int outstanding_ = 0;  // shipments not yet done
+  // Per task of the current phase: the shipment behind each dispatch. Its
+  // size is the task's dispatch count, which keys process chaos.
+  std::vector<std::vector<int>> dispatches_;
 
-  struct Morsel {
-    size_t input;
-    size_t src_part;
-    size_t begin;
-    size_t end;
-  };
-  std::vector<Morsel> morsels_;
-  std::vector<MapTaskResult> mouts_;
-  std::vector<Status> map_status_;
-
-  int phys_parts_ = 0;
-  int fanout_ = 2;
-  std::vector<SplitDecision> decisions_;
-  std::vector<int> vbase_;
-  std::vector<int> base_of_;
-  std::vector<char> sort_output_;
-  std::vector<char> bucket_sorted_;  // driver-side fallback sorted these
-  std::vector<std::vector<std::vector<Row>>> buckets_;  // [phys][input]
-  Dataset quarantine_out_;
-
-  std::vector<int> attempts_started_;
-  std::vector<char> fault_drawn_;
-  std::vector<Fault> faults_;
-  std::vector<Status> terminal_;
-  std::vector<std::vector<Row>> out_rows_;
-  std::vector<double> cpu_seconds_;
+  const std::vector<MapTaskSpec>* map_specs_ = nullptr;
+  std::vector<MapTaskResult>* map_results_ = nullptr;
+  std::vector<Status>* map_statuses_ = nullptr;
+  std::vector<AttemptReport> reports_;
 
   // unique_ptr: WorkerSlot holds an atomic and a thread (neither movable),
   // and reader threads keep raw pointers to their slot.
@@ -221,7 +158,7 @@ class StageRunner {
 
 // ------------------------------------------------------- gang management --
 
-bool StageRunner::Spawn(int slot) {
+bool WorkerBackend::Spawn(int slot) {
   int sv[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) return false;
   const pid_t pid = ::fork();
@@ -239,17 +176,14 @@ bool StageRunner::Spawn(int slot) {
     }
     WorkerEnv env;
     env.worker_index = slot;
-    env.stage = &stage_;
-    env.inputs = inputs_;
-    env.input_schemas = schemas_;
-    env.quarantine = quarantine_;
+    env.inputs = &in_;
     env.chaos = opts_.chaos;
     env.heartbeat_interval_seconds = opts_.heartbeat_interval_seconds;
     WorkerMain(sv[1], env);  // [[noreturn]]
   }
   // Driver side. A send deadline on the socket keeps a full buffer to a hung
-  // worker from blocking the scheduler forever: the send fails and the worker
-  // is declared lost.
+  // worker from blocking the transport forever: the send fails and the
+  // worker is declared lost.
   ::close(sv[1]);
   timeval tv;
   tv.tv_sec = static_cast<time_t>(opts_.rpc_timeout_seconds);
@@ -286,7 +220,7 @@ bool StageRunner::Spawn(int slot) {
   return true;
 }
 
-int StageRunner::SpawnGang(int n) {
+int WorkerBackend::SpawnGang(int n) {
   workers_.reserve(static_cast<size_t>(std::max(0, n)));
   for (int i = 0; i < n; ++i) {
     workers_.push_back(std::make_unique<WorkerSlot>());
@@ -298,7 +232,7 @@ int StageRunner::SpawnGang(int n) {
   return spawned;
 }
 
-bool StageRunner::TryRespawn() {
+bool WorkerBackend::TryRespawn() {
   if (restarts_used_ >= opts_.max_worker_restarts) return false;
   for (size_t i = 0; i < workers_.size(); ++i) {
     if (workers_[i]->alive) continue;
@@ -311,22 +245,20 @@ bool StageRunner::TryRespawn() {
   return false;
 }
 
-void StageRunner::OnWorkerLost(int slot, std::vector<TaskRt>* ts,
-                               std::deque<int>* ready) {
+void WorkerBackend::OnWorkerLost(int slot) {
   WorkerSlot& w = *workers_[static_cast<size_t>(slot)];
   if (!w.alive) return;  // a send failure and the reader's EOF both report
   w.alive = false;
-  if (w.inflight >= 0) {
-    const int t = w.inflight;
-    w.inflight = -1;
-    if (ts != nullptr && (*ts)[static_cast<size_t>(t)].st == TaskRt::St::kInflight) {
-      RequeueTransport(t, ts, ready);
-    }
+  const int id = w.inflight;
+  w.inflight = -1;
+  if (id >= 0 && ships_[id].st == Shipment::St::kInflight &&
+      ships_[id].worker == slot) {
+    Requeue(id);
   }
   TryRespawn();
 }
 
-void StageRunner::ShutdownWorker(int slot, bool clean) {
+void WorkerBackend::ShutdownWorker(int slot, bool clean) {
   WorkerSlot& w = *workers_[static_cast<size_t>(slot)];
   if (w.pid < 0) return;
   if (clean && w.fd >= 0) {
@@ -346,19 +278,19 @@ void StageRunner::ShutdownWorker(int slot, bool clean) {
   w.inflight = -1;
 }
 
-void StageRunner::ShutdownAll() {
+void WorkerBackend::ShutdownAll() {
   for (size_t i = 0; i < workers_.size(); ++i) {
     ShutdownWorker(static_cast<int>(i), /*clean=*/true);
   }
 }
 
-int StageRunner::AliveCount() const {
+int WorkerBackend::AliveCount() const {
   int n = 0;
   for (const auto& w : workers_) n += w->alive ? 1 : 0;
   return n;
 }
 
-int StageRunner::FindIdleWorker() const {
+int WorkerBackend::FindIdleWorker() const {
   for (size_t i = 0; i < workers_.size(); ++i) {
     if (workers_[i]->alive && workers_[i]->inflight < 0) {
       return static_cast<int>(i);
@@ -367,694 +299,286 @@ int StageRunner::FindIdleWorker() const {
   return -1;
 }
 
-// --------------------------------------------------- transport scheduler --
+// ------------------------------------------------------------- transport --
 
-void StageRunner::RequeueTransport(int task, std::vector<TaskRt>* ts,
-                                   std::deque<int>* ready) {
-  TaskRt& t = (*ts)[static_cast<size_t>(task)];
+void WorkerBackend::BeginPhase(rpc::MsgType resp_type) {
+  resp_type_ = resp_type;
+  dispatches_.clear();
+}
+
+void WorkerBackend::Enqueue(Shipment s) {
+  if (static_cast<size_t>(s.task) >= dispatches_.size()) {
+    dispatches_.resize(static_cast<size_t>(s.task) + 1);
+  }
+  s.eligible = Clock::now();
+  ships_.push_back(std::move(s));
+  ready_.push_back(static_cast<int>(ships_.size()) - 1);
+  ++outstanding_;
+}
+
+void WorkerBackend::Requeue(int id) {
+  Shipment& s = ships_[id];
   stats_->rpc_retries++;
-  t.st = TaskRt::St::kPending;
-  t.worker = -1;
-  // Capped exponential backoff over this task's dispatch count.
+  s.st = Shipment::St::kPending;
+  s.worker = -1;
+  // Capped exponential backoff over the task's dispatch count.
+  const int sent = static_cast<int>(dispatches_[s.task].size());
   const double backoff =
       std::min(opts_.backoff_cap_seconds,
                opts_.backoff_base_seconds *
-                   static_cast<double>(uint64_t{1} << std::min(t.dispatches, 30)));
-  t.eligible = Clock::now() + DurationOf(backoff);
-  ready->push_back(task);
+                   static_cast<double>(uint64_t{1} << std::min(sent, 30)));
+  s.eligible = Clock::now() + DurationOf(backoff);
+  ready_.push_back(id);
 }
 
-void StageRunner::DrainStaleEvents() {
-  // Between phases the queue may hold late duplicates from the finished
-  // phase. Their tasks are all committed, so they carry no information —
-  // but dead-worker news must still be processed.
+bool WorkerBackend::Dispatch(int id, int worker, Clock::time_point now) {
+  Shipment& s = ships_[id];
+  std::vector<int>& sent = dispatches_[s.task];
+  const auto dispatch = static_cast<uint32_t>(sent.size());
+  std::string payload;
+  if (s.map) {
+    MapTaskSpec spec = (*map_specs_)[s.task];
+    spec.dispatch = dispatch;
+    wire::EncodeMapRequest(spec, &payload);
+  } else {
+    const ReduceAttemptContext& ctx = s.reduce;
+    wire::ReduceRequest req;
+    req.task_id = static_cast<uint32_t>(s.task);
+    req.dispatch = dispatch;
+    req.attempt = static_cast<uint32_t>(ctx.attempt);
+    req.base_partition = static_cast<uint32_t>(ctx.base_partition);
+    req.sort_output = ctx.sort_output;
+    req.fault_kind = ctx.fault.kind;
+    req.straggler_seconds = ctx.fault.straggler_seconds;
+    wire::EncodeReduceRequest(req, *ctx.input_schemas, *ctx.buckets, &payload);
+  }
+  sent.push_back(id);
+  WorkerSlot& w = *workers_[static_cast<size_t>(worker)];
+  const rpc::MsgType type =
+      s.map ? rpc::MsgType::kMapRequest : rpc::MsgType::kReduceRequest;
+  if (!rpc::SendFrame(w.fd, type, payload).ok()) return false;
+  w.inflight = id;
+  s.st = Shipment::St::kInflight;
+  s.worker = worker;
+  s.deadline = now + DurationOf(opts_.rpc_timeout_seconds);
+  return true;
+}
+
+bool WorkerBackend::Complete(int id, std::string_view payload) {
+  Shipment& s = ships_[id];
+  if (s.map) {
+    wire::MapResponse resp;
+    if (!wire::DecodeMapResponse(payload, &resp).ok()) return false;
+    (*map_statuses_)[s.task] = resp.status;
+    (*map_results_)[s.task] = std::move(resp.result);
+  } else {
+    wire::ReduceResponse resp;
+    if (!wire::DecodeReduceResponse(payload, &resp).ok()) return false;
+    AttemptReport report;
+    report.task = s.task;
+    report.attempt = s.reduce.attempt;
+    report.status = std::move(resp.status);
+    report.rows = std::move(resp.rows);
+    report.cpu_seconds = resp.cpu_seconds;
+    reports_.push_back(std::move(report));
+  }
+  s.st = Shipment::St::kDone;
+  s.worker = -1;
+  --outstanding_;
+  return true;
+}
+
+void WorkerBackend::RunInProcess(int id) {
+  Shipment& s = ships_[id];
+  if (s.map) {
+    (*map_statuses_)[s.task] =
+        RunMapTask(in_, (*map_specs_)[s.task], &(*map_results_)[s.task]);
+  } else {
+    reports_.push_back(RunReduceAttempt(s.reduce));
+  }
+  s.st = Shipment::St::kDone;
+  --outstanding_;
+}
+
+void WorkerBackend::Pump(Clock::time_point deadline) {
+  Clock::time_point now = Clock::now();
+
+  // Assign eligible shipments to idle workers; run transport-exhausted ones
+  // in-process.
+  for (size_t scan = 0; scan < ready_.size();) {
+    const int id = ready_[scan];
+    Shipment& s = ships_[id];
+    if (s.st != Shipment::St::kPending) {
+      // Stale duplicate entry: the shipment advanced through another path
+      // while queued here — e.g. it was requeued off a presumed-lost worker
+      // whose response then arrived anyway.
+      ready_.erase(ready_.begin() + static_cast<long>(scan));
+      continue;
+    }
+    if (static_cast<int>(dispatches_[s.task].size()) > kMaxRpcRetries) {
+      ready_.erase(ready_.begin() + static_cast<long>(scan));
+      RunInProcess(id);
+      continue;
+    }
+    if (s.eligible > now) {
+      ++scan;
+      continue;
+    }
+    const int w = FindIdleWorker();
+    if (w < 0) break;  // every live worker is busy (or none is left)
+    if (!Dispatch(id, w, now)) {
+      OnWorkerLost(w);
+      continue;  // id is still at ready_[scan]; try the next worker
+    }
+    ready_.erase(ready_.begin() + static_cast<long>(scan));
+  }
+
+  // Graceful degradation: every worker lost and the respawn budget spent —
+  // run what remains in-process and keep going.
+  if (AliveCount() == 0 && !TryRespawn()) {
+    std::deque<int> rest;
+    rest.swap(ready_);
+    for (int id : rest) {
+      if (ships_[id].st == Shipment::St::kPending) RunInProcess(id);
+    }
+    return;
+  }
+  if (outstanding_ == 0) return;
+
+  // Sleep until something can happen: an event, an RPC or heartbeat
+  // deadline, a backoff expiry, or the caller's deadline.
+  Clock::time_point wake =
+      std::min(deadline, now + std::chrono::milliseconds(100));
+  const Clock::duration hb_deadline =
+      DurationOf(opts_.heartbeat_deadline_seconds);
+  for (const auto& wp : workers_) {
+    const WorkerSlot& w = *wp;
+    if (!w.alive) continue;
+    const auto beat = Clock::time_point(std::chrono::nanoseconds(
+        w.last_beat_ns.load(std::memory_order_relaxed)));
+    wake = std::min(wake, beat + hb_deadline);
+    if (w.inflight >= 0) wake = std::min(wake, ships_[w.inflight].deadline);
+  }
+  for (int id : ready_) wake = std::min(wake, ships_[id].eligible);
   std::deque<Event> evs;
   {
-    std::lock_guard<std::mutex> lock(ev_mu_);
+    std::unique_lock<std::mutex> lock(ev_mu_);
+    ev_cv_.wait_until(lock, wake, [&] { return !events_.empty(); });
     evs.swap(events_);
   }
+
   for (Event& e : evs) {
-    if (e.kind == Event::Kind::kDead) OnWorkerLost(e.slot, nullptr, nullptr);
+    if (e.kind == Event::Kind::kDead) {
+      OnWorkerLost(e.slot);
+      continue;
+    }
+    WorkerSlot& w = *workers_[static_cast<size_t>(e.slot)];
+    if (e.frame.type != resp_type_) {
+      // A late answer from a finished phase: the worker is idle again.
+      if (w.inflight >= 0 && ships_[w.inflight].st == Shipment::St::kDone) {
+        w.inflight = -1;
+      }
+      continue;
+    }
+    uint32_t tid = 0;
+    uint32_t disp = 0;
+    if (!wire::PeekIds(e.frame.payload, &tid, &disp) ||
+        tid >= dispatches_.size() || disp >= dispatches_[tid].size()) {
+      // Garbage from this worker: treat the process as compromised.
+      if (w.alive) {
+        ::kill(w.pid, SIGKILL);
+        OnWorkerLost(e.slot);
+      }
+      continue;
+    }
+    // Driver-side chaos: lose or delay the response. A dropped response
+    // leaves the worker marked busy; the RPC deadline below detects it,
+    // kills the worker, and requeues the shipment — the full recovery path.
+    const ProcessFaultKind pf = DrawProcessFault(
+        opts_.chaos, /*worker_side=*/false, in_.stage->name,
+        static_cast<uint8_t>(resp_type_), static_cast<int>(tid),
+        static_cast<int>(disp));
+    if (pf == ProcessFaultKind::kDropResponse) continue;
+    if (pf == ProcessFaultKind::kDelayResponse) {
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(opts_.chaos.delay_seconds));
+    }
+    // The first response for a shipment is its result; a later one (the
+    // same attempt, re-dispatched by the transport) is dropped.
+    const int id = dispatches_[tid][disp];
+    if (ships_[id].st != Shipment::St::kDone &&
+        !Complete(id, e.frame.payload)) {
+      // Undecodable payload: kill the worker; its loss requeues the task.
+      if (w.alive) {
+        ::kill(w.pid, SIGKILL);
+        OnWorkerLost(e.slot);
+      }
+      continue;
+    }
+    if (w.alive && w.inflight == id) w.inflight = -1;
+  }
+
+  // Deadline sweeps: a worker that stopped heartbeating, or that sat on an
+  // RPC past its deadline, is presumed lost — SIGKILL it (it may be hung,
+  // not dead) and requeue its shipment.
+  now = Clock::now();
+  for (size_t i = 0; i < workers_.size(); ++i) {
+    WorkerSlot& w = *workers_[i];
+    if (!w.alive) continue;
+    const auto beat = Clock::time_point(std::chrono::nanoseconds(
+        w.last_beat_ns.load(std::memory_order_relaxed)));
+    const bool hb_lost = now - beat > hb_deadline;
+    const bool rpc_lost = w.inflight >= 0 && now > ships_[w.inflight].deadline;
+    if (!hb_lost && !rpc_lost) continue;
+    if (hb_lost) stats_->heartbeat_timeouts++;
+    ::kill(w.pid, SIGKILL);
+    OnWorkerLost(static_cast<int>(i));
   }
 }
 
-Status StageRunner::RunTasks(rpc::MsgType req_type, rpc::MsgType resp_type,
-                             int num_tasks, const EncodeFn& encode,
-                             const CommitFn& commit,
-                             const FallbackFn& fallback) {
-  DrainStaleEvents();
-  std::vector<TaskRt> ts(static_cast<size_t>(num_tasks));
-  std::deque<int> ready;
-  for (int i = 0; i < num_tasks; ++i) ready.push_back(i);
-  int done = 0;
-
-  const auto finish_task = [&](int t, bool committed) {
-    ts[t].st = TaskRt::St::kDone;
-    ts[t].committed = committed;
-    ts[t].worker = -1;
-    ++done;
-  };
-
-  while (done < num_tasks) {
-    Clock::time_point now = Clock::now();
-
-    // Assign eligible tasks to idle workers; ship transport-exhausted tasks
-    // to the in-process fallback.
-    for (size_t scan = 0; scan < ready.size();) {
-      const int t = ready[scan];
-      if (ts[t].st != TaskRt::St::kPending) {
-        // Stale duplicate entry: the task advanced through another path
-        // while queued here — e.g. it was requeued off a presumed-lost
-        // worker whose response then arrived anyway and committed. Acting
-        // on the entry would double-run (and double-count) the task.
-        ready.erase(ready.begin() + static_cast<long>(scan));
-        continue;
-      }
-      if (ts[t].dispatches > opts_.max_rpc_retries) {
-        ready.erase(ready.begin() + static_cast<long>(scan));
-        fallback(t);
-        finish_task(t, /*committed=*/true);
-        continue;
-      }
-      if (ts[t].eligible > now) {
-        ++scan;
-        continue;
-      }
-      const int w = FindIdleWorker();
-      if (w < 0) break;  // every live worker is busy (or none is left)
-      std::string payload = encode(t, ts[t].dispatches);
-      ts[t].dispatches++;
-      if (!rpc::SendFrame(workers_[static_cast<size_t>(w)]->fd, req_type,
-                          payload)
-               .ok()) {
-        OnWorkerLost(w, &ts, &ready);
-        continue;  // t is still at ready[scan]; try the next worker
-      }
-      workers_[static_cast<size_t>(w)]->inflight = t;
-      ts[t].st = TaskRt::St::kInflight;
-      ts[t].worker = w;
-      ts[t].deadline = now + DurationOf(opts_.rpc_timeout_seconds);
-      ready.erase(ready.begin() + static_cast<long>(scan));
-    }
-
-    // Graceful degradation: every worker lost and the respawn budget spent —
-    // run what remains in-process, in task order, and keep going.
-    if (AliveCount() == 0 && done < num_tasks) {
-      if (!TryRespawn()) {
-        std::vector<int> rest(ready.begin(), ready.end());
-        std::sort(rest.begin(), rest.end());
-        ready.clear();
-        for (int t : rest) {
-          if (ts[t].st != TaskRt::St::kPending) continue;  // stale duplicate
-          fallback(t);
-          finish_task(t, /*committed=*/true);
-        }
-        continue;
-      }
-    }
-    if (done >= num_tasks) break;
-
-    // Sleep until something can happen: an event, an RPC or heartbeat
-    // deadline, or a backoff expiry.
-    Clock::time_point wake = now + std::chrono::milliseconds(100);
-    const Clock::duration hb_deadline =
-        DurationOf(opts_.heartbeat_deadline_seconds);
-    for (const auto& wp : workers_) {
-      const WorkerSlot& w = *wp;
-      if (!w.alive) continue;
-      const auto beat = Clock::time_point(std::chrono::nanoseconds(
-          w.last_beat_ns.load(std::memory_order_relaxed)));
-      wake = std::min(wake, beat + hb_deadline);
-      if (w.inflight >= 0) {
-        wake = std::min(wake, ts[static_cast<size_t>(w.inflight)].deadline);
-      }
-    }
-    for (int t : ready) wake = std::min(wake, ts[t].eligible);
-    std::deque<Event> evs;
-    {
-      std::unique_lock<std::mutex> lock(ev_mu_);
-      ev_cv_.wait_until(lock, wake, [&] { return !events_.empty(); });
-      evs.swap(events_);
-    }
-
-    for (Event& e : evs) {
-      if (e.kind == Event::Kind::kDead) {
-        OnWorkerLost(e.slot, &ts, &ready);
-        continue;
-      }
-      WorkerSlot& w = *workers_[static_cast<size_t>(e.slot)];
-      if (e.frame.type != resp_type) continue;  // stale cross-phase duplicate
-      uint32_t tid = 0;
-      uint32_t disp = 0;
-      if (!wire::PeekIds(e.frame.payload, &tid, &disp) ||
-          tid >= static_cast<uint32_t>(num_tasks)) {
-        // Garbage from this worker: treat the process as compromised.
-        if (w.alive) {
-          ::kill(w.pid, SIGKILL);
-          OnWorkerLost(e.slot, &ts, &ready);
-        }
-        continue;
-      }
-      const int t = static_cast<int>(tid);
-      // Driver-side chaos: lose or delay the response. A dropped response
-      // leaves the worker marked busy; the RPC deadline below detects it,
-      // kills the worker, and requeues the task — the full recovery path.
-      const ProcessFaultKind pf = DrawProcessFault(
-          opts_.chaos, /*worker_side=*/false, stage_.name,
-          static_cast<uint8_t>(resp_type), t, static_cast<int>(disp));
-      if (pf == ProcessFaultKind::kDropResponse) continue;
-      if (pf == ProcessFaultKind::kDelayResponse) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(opts_.chaos.delay_seconds));
-      }
-      if (w.alive && w.inflight == t) w.inflight = -1;
-      if (ts[t].st == TaskRt::St::kDone) {
-        if (ts[t].committed) {
-          // Idempotent acceptance: first committed response won; verify the
-          // late duplicate reproduced it.
-          CommitOutcome oc = CommitOutcome::kCommitted;
-          TIMR_RETURN_NOT_OK(
-              commit(t, e.frame.payload, /*duplicate=*/true, &oc));
-        }
-        continue;
-      }
-      if (static_cast<int>(disp) < ts[t].attempt_first_dispatch) {
-        continue;  // response from an attempt that already failed
-      }
-      CommitOutcome oc = CommitOutcome::kCommitted;
-      const Status cs = commit(t, e.frame.payload, /*duplicate=*/false, &oc);
-      if (!cs.ok()) {
-        // Undecodable payload: kill the worker, requeue the task.
-        if (w.alive) {
-          ::kill(w.pid, SIGKILL);
-          OnWorkerLost(e.slot, nullptr, nullptr);
-        }
-        if (ts[t].st != TaskRt::St::kPending) {
-          RequeueTransport(t, &ts, &ready);
-        }
-        continue;
-      }
-      if (oc == CommitOutcome::kCommitted) {
-        finish_task(t, /*committed=*/true);
-      } else {
-        // App-level retry: a fresh attempt, immediately eligible; older
-        // dispatches' late responses are stale from here on.
-        ts[t].st = TaskRt::St::kPending;
-        ts[t].worker = -1;
-        ts[t].attempt_first_dispatch = ts[t].dispatches;
-        ts[t].eligible = Clock::now();
-        ready.push_back(t);
-      }
-    }
-
-    // Deadline sweeps: a worker that stopped heartbeating, or that sat on an
-    // RPC past its deadline, is presumed lost — SIGKILL it (it may be hung,
-    // not dead) and requeue its task.
-    now = Clock::now();
-    for (size_t i = 0; i < workers_.size(); ++i) {
-      WorkerSlot& w = *workers_[i];
-      if (!w.alive) continue;
-      const auto beat = Clock::time_point(std::chrono::nanoseconds(
-          w.last_beat_ns.load(std::memory_order_relaxed)));
-      const bool hb_lost = now - beat > hb_deadline;
-      const bool rpc_lost =
-          w.inflight >= 0 &&
-          now > ts[static_cast<size_t>(w.inflight)].deadline;
-      if (!hb_lost && !rpc_lost) continue;
-      if (hb_lost) stats_->heartbeat_timeouts++;
-      ::kill(w.pid, SIGKILL);
-      OnWorkerLost(static_cast<int>(i), &ts, &ready);
-    }
+void WorkerBackend::RunMaps(const std::vector<MapTaskSpec>& specs,
+                            std::vector<MapTaskResult>* results,
+                            std::vector<Status>* statuses) {
+  map_specs_ = &specs;
+  map_results_ = results;
+  map_statuses_ = statuses;
+  BeginPhase(rpc::MsgType::kMapResponse);
+  for (size_t t = 0; t < specs.size(); ++t) {
+    Shipment s;
+    s.task = static_cast<int>(t);
+    Enqueue(std::move(s));
   }
-  return Status::OK();
+  while (outstanding_ > 0) Pump(Clock::time_point::max());
+  BeginPhase(rpc::MsgType::kReduceResponse);
 }
 
-// ------------------------------------------------------- stage execution --
-
-MapTaskSpec StageRunner::SpecFor(int t, int dispatch) const {
-  const Morsel& mo = morsels_[static_cast<size_t>(t)];
-  MapTaskSpec spec;
-  spec.task_id = static_cast<uint32_t>(t);
-  spec.dispatch = static_cast<uint32_t>(dispatch);
-  spec.input_index = static_cast<int>(mo.input);
-  spec.src_partition = mo.src_part;
-  spec.begin = mo.begin;
-  spec.end = mo.end;
-  spec.parts = parts_;
-  spec.quarantine = quarantine_;
-  spec.skew_enabled = skew_enabled_;
-  spec.may_move = consumable_[mo.input];
-  spec.sample_mask = sample_mask_;
-  return spec;
+void WorkerBackend::StartReduce(const ReduceAttemptContext& ctx) {
+  Shipment s;
+  s.map = false;
+  s.task = ctx.physical_partition;
+  s.reduce = ctx;
+  Enqueue(std::move(s));
 }
 
-Status StageRunner::Prepare() {
-  stats_->name = stage_.name;
-  parts_ = stage_.num_partitions > 0 ? stage_.num_partitions
-                                     : env_.num_machines;
-  stats_->partitions = parts_;
-  const SkewPolicy& skew = stage_.skew;
-  skew_enabled_ =
-      skew.adaptive_repartition && stage_.key_hash_fn != nullptr && parts_ > 1;
-  sample_mask_ = (uint64_t{1} << std::clamp(skew.sample_shift, 0, 20)) - 1;
-  fanout_ = std::max(2, skew.hot_key_fanout);
-  quarantine_ = env_.fault->quarantine_inputs;
-  max_attempts_ = std::max(1, env_.fault->max_task_attempts);
-
-  for (const auto& name : stage_.inputs) {
-    auto it = store_->find(name);
-    if (it == store_->end()) {
-      return Status::KeyError("stage " + stage_.name + ": no dataset named " +
-                              name);
-    }
-    inputs_.push_back(&it->second);
-    schemas_.push_back(it->second.schema());
+void WorkerBackend::Wait(Clock::time_point deadline,
+                         std::vector<AttemptReport>* reports) {
+  while (reports_.empty() && outstanding_ > 0 && Clock::now() < deadline) {
+    Pump(deadline);
   }
-  {
-    const std::vector<bool> flags = ConsumableInputFlags(stage_);
-    consumable_.assign(flags.begin(), flags.end());
-  }
-
-  size_t total_rows = 0;
-  for (const Dataset* d : inputs_) total_rows += d->TotalRows();
-  const size_t gang = static_cast<size_t>(std::max(1, opts_.workers));
-  const size_t morsel_rows =
-      std::max<size_t>(1024, total_rows / (gang * 4) + 1);
-  for (size_t i = 0; i < inputs_.size(); ++i) {
-    for (size_t p = 0; p < inputs_[i]->num_partitions(); ++p) {
-      const size_t n = inputs_[i]->partition(p).size();
-      for (size_t begin = 0; begin < n; begin += morsel_rows) {
-        morsels_.push_back({i, p, begin, std::min(begin + morsel_rows, n)});
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status StageRunner::MapPhase() {
-  mouts_.resize(morsels_.size());
-  map_status_.assign(morsels_.size(), Status::OK());
-
-  const EncodeFn encode = [this](int t, int dispatch) {
-    std::string payload;
-    wire::EncodeMapRequest(SpecFor(t, dispatch), &payload);
-    return payload;
-  };
-  const CommitFn commit = [this](int t, std::string_view payload,
-                                 bool duplicate, CommitOutcome* oc) {
-    wire::MapResponse resp;
-    TIMR_RETURN_NOT_OK(wire::DecodeMapResponse(payload, &resp));
-    if (duplicate) {
-      if (resp.status.ok() &&
-          (resp.result.buckets != mouts_[static_cast<size_t>(t)].buckets ||
-           resp.result.quarantined !=
-               mouts_[static_cast<size_t>(t)].quarantined)) {
-        return Status::ExecutionError(
-            "stage " + stage_.name + " map task " + std::to_string(t) +
-            ": determinism violation: a duplicate response differs from the "
-            "committed one; §III-C.1 requires re-executed tasks to be "
-            "repeatable");
-      }
-      return Status::OK();
-    }
-    map_status_[static_cast<size_t>(t)] = resp.status;
-    mouts_[static_cast<size_t>(t)] = std::move(resp.result);
-    *oc = CommitOutcome::kCommitted;
-    return Status::OK();
-  };
-  const FallbackFn fallback = [this](int t) {
-    const MapTaskSpec spec = SpecFor(t, 0);
-    const Morsel& mo = morsels_[static_cast<size_t>(t)];
-    MapTaskResult res;
-    map_status_[static_cast<size_t>(t)] =
-        RunMapTask(stage_, schemas_[mo.input],
-                   &inputs_[mo.input]->partition(mo.src_part), spec, &res);
-    mouts_[static_cast<size_t>(t)] = std::move(res);
-  };
-
-  TIMR_RETURN_NOT_OK(RunTasks(rpc::MsgType::kMapRequest,
-                              rpc::MsgType::kMapResponse,
-                              static_cast<int>(morsels_.size()), encode,
-                              commit, fallback));
-  for (const Status& st : map_status_) {
-    // First error in morsel order, for a deterministic message.
-    TIMR_RETURN_NOT_OK(st);
-  }
-  return Status::OK();
-}
-
-Status StageRunner::AfterMap() {
-  for (const MapTaskResult& out : mouts_) {
-    stats_->rows_in += out.rows_in;
-    stats_->rows_shuffled += out.rows_shuffled;
-    stats_->quarantined_rows += out.quarantined.size();
-  }
-  // Poison-row budget, identical to the thread-mode runtime.
-  if (stats_->quarantined_rows > 0) {
-    const double rate = static_cast<double>(stats_->quarantined_rows) /
-                        static_cast<double>(stats_->rows_in);
-    if (rate > env_.fault->max_input_error_rate) {
-      std::string first;
-      for (const MapTaskResult& out : mouts_) {
-        if (!out.first_bad.empty()) {
-          first = out.first_bad;
-          break;
-        }
-      }
-      std::ostringstream os;
-      os << "stage " << stage_.name << ": " << stats_->quarantined_rows
-         << " of " << stats_->rows_in << " input rows (" << rate * 100
-         << "%) failed schema validation, exceeding max_input_error_rate="
-         << env_.fault->max_input_error_rate << "; first error: " << first;
-      return Status::DataError(os.str());
-    }
-  }
-  if (quarantine_) {
-    std::vector<Row> qrows;
-    qrows.reserve(stats_->quarantined_rows);
-    for (MapTaskResult& out : mouts_) {
-      for (Row& q : out.quarantined) qrows.push_back(std::move(q));
-      out.quarantined.clear();
-    }
-    quarantine_out_ = Dataset::FromRows(QuarantineSchema(), std::move(qrows));
-  }
-  // Release consumed inputs. Workers only moved rows inside their own
-  // copy-on-write snapshots; the parent releases the real thing here, after
-  // which no respawned worker will need them (reduce tasks ship their data).
-  for (size_t i = 0; i < inputs_.size(); ++i) {
-    if (!consumable_[i]) continue;
-    for (size_t p = 0; p < inputs_[i]->num_partitions(); ++p) {
-      std::vector<Row>().swap(inputs_[i]->partition(p));
-    }
-  }
-
-  std::vector<size_t> routed_rows(static_cast<size_t>(parts_), 0);
-  for (const MapTaskResult& out : mouts_) {
-    for (int p = 0; p < parts_; ++p) {
-      routed_rows[static_cast<size_t>(p)] += out.buckets[static_cast<size_t>(p)].size();
-    }
-  }
-  {
-    std::vector<double> as_double(routed_rows.begin(), routed_rows.end());
-    stats_->partition_rows_max =
-        routed_rows.empty()
-            ? 0
-            : *std::max_element(routed_rows.begin(), routed_rows.end());
-    stats_->partition_rows_median = MedianOf(std::move(as_double));
-  }
-
-  // Adaptive repartitioning, via the same pure-function decision pipeline as
-  // thread mode (skew.h) — outputs stay bit-identical across runtimes.
-  if (skew_enabled_) {
-    std::unordered_map<uint64_t, uint64_t> sketch;
-    for (MapTaskResult& out : mouts_) {
-      for (const auto& [h, c] : out.sketch) sketch[h] += c;
-      out.sketch.clear();
-    }
-    const double median_rows = std::max(stats_->partition_rows_median, 1.0);
-    decisions_ = DecidePartitionSplits(stage_.skew, routed_rows, median_rows,
-                                       sketch, parts_);
-  }
-  phys_parts_ = parts_;
-  vbase_.assign(decisions_.size(), 0);
-  for (size_t d = 0; d < decisions_.size(); ++d) {
-    vbase_[d] = phys_parts_;
-    phys_parts_ += fanout_;
-  }
-  if (!decisions_.empty()) {
-    const uint64_t salt = StageSalt(stage_.name);
-    for (size_t m = 0; m < morsels_.size(); ++m) {
-      MapTaskResult& out = mouts_[m];
-      out.buckets.resize(static_cast<size_t>(phys_parts_));
-      const int input_index = static_cast<int>(morsels_[m].input);
-      for (size_t d = 0; d < decisions_.size(); ++d) {
-        RerouteHotRows(stage_.key_hash_fn, input_index, salt, fanout_,
-                       decisions_[d], vbase_[d], &out.buckets);
-      }
-    }
-    std::vector<double> phys_rows(static_cast<size_t>(phys_parts_), 0.0);
-    for (const MapTaskResult& out : mouts_) {
-      for (int p = 0; p < phys_parts_; ++p) {
-        phys_rows[static_cast<size_t>(p)] +=
-            static_cast<double>(out.buckets[static_cast<size_t>(p)].size());
-      }
-    }
-    const double phys_max =
-        *std::max_element(phys_rows.begin(), phys_rows.end());
-    stats_->post_split_rows_ratio =
-        phys_max / std::max(MedianOf(std::move(phys_rows)), 1.0);
-    for (const SplitDecision& d : decisions_) {
-      stats_->hot_keys_detected += static_cast<int>(d.hot_keys.size());
-    }
-    stats_->partitions_split = static_cast<int>(decisions_.size());
-    stats_->virtual_partitions = phys_parts_ - parts_;
-  }
-  base_of_.resize(static_cast<size_t>(phys_parts_));
-  sort_output_.assign(static_cast<size_t>(phys_parts_), 0);
-  for (int p = 0; p < parts_; ++p) base_of_[static_cast<size_t>(p)] = p;
-  for (size_t d = 0; d < decisions_.size(); ++d) {
-    sort_output_[static_cast<size_t>(decisions_[d].partition)] = 1;
-    for (int s = 0; s < fanout_; ++s) {
-      base_of_[static_cast<size_t>(vbase_[d] + s)] = decisions_[d].partition;
-      sort_output_[static_cast<size_t>(vbase_[d] + s)] = 1;
-    }
-  }
-  stats_->map_shuffle_seconds = wall_.ElapsedSeconds();
-
-  // Assemble per-(physical partition, input) shuffle buckets by concatenating
-  // morsel buckets in morsel order — source order, same as thread mode. The
-  // canonical sort happens in the worker that runs the reduce task (or in the
-  // driver's fallback), so assembly order never reaches the output.
-  buckets_.assign(static_cast<size_t>(phys_parts_),
-                  std::vector<std::vector<Row>>(inputs_.size()));
-  bucket_sorted_.assign(static_cast<size_t>(phys_parts_), 0);
-  for (int p = 0; p < phys_parts_; ++p) {
-    for (size_t i = 0; i < inputs_.size(); ++i) {
-      std::vector<Row>& dst = buckets_[static_cast<size_t>(p)][i];
-      size_t total = 0;
-      for (size_t m = 0; m < morsels_.size(); ++m) {
-        if (morsels_[m].input == i &&
-            static_cast<size_t>(p) < mouts_[m].buckets.size()) {
-          total += mouts_[m].buckets[static_cast<size_t>(p)].size();
-        }
-      }
-      dst.reserve(total);
-      for (size_t m = 0; m < morsels_.size(); ++m) {
-        if (morsels_[m].input != i ||
-            static_cast<size_t>(p) >= mouts_[m].buckets.size()) {
-          continue;
-        }
-        std::vector<Row>& src = mouts_[m].buckets[static_cast<size_t>(p)];
-        dst.insert(dst.end(), std::make_move_iterator(src.begin()),
-                   std::make_move_iterator(src.end()));
-        std::vector<Row>().swap(src);
-      }
-    }
-  }
-  mouts_.clear();
-  mouts_.shrink_to_fit();
-  return Status::OK();
-}
-
-Status StageRunner::ReducePhase() {
-  Stopwatch reduce_watch;
-  const size_t n = static_cast<size_t>(phys_parts_);
-  attempts_started_.assign(n, 0);
-  fault_drawn_.assign(n, 0);
-  faults_.assign(n, Fault{});
-  terminal_.assign(n, Status::OK());
-  out_rows_.assign(n, {});
-  cpu_seconds_.assign(n, 0.0);
-
-  const EncodeFn encode = [this](int t, int dispatch) {
-    const Fault fault = ProbeFault(t);
-    wire::ReduceRequest req;
-    req.task_id = static_cast<uint32_t>(t);
-    req.dispatch = static_cast<uint32_t>(dispatch);
-    req.attempt = static_cast<uint32_t>(attempts_started_[static_cast<size_t>(t)] - 1);
-    req.base_partition = static_cast<uint32_t>(base_of_[static_cast<size_t>(t)]);
-    req.sort_output = sort_output_[static_cast<size_t>(t)] != 0;
-    req.presorted = bucket_sorted_[static_cast<size_t>(t)] != 0;
-    req.fault_kind = fault.kind;
-    req.straggler_seconds = fault.straggler_seconds;
-    std::string payload;
-    wire::EncodeReduceRequest(req, schemas_, buckets_[static_cast<size_t>(t)],
-                              &payload);
-    return payload;
-  };
-
-  const auto fail_attempt = [this](int t, const Status& st,
-                                   CommitOutcome* oc) {
-    const size_t ti = static_cast<size_t>(t);
-    fault_drawn_[ti] = 0;  // next dispatch draws a fresh attempt's fault
-    if (attempts_started_[ti] < max_attempts_) {
-      stats_->retried_tasks++;
-      *oc = CommitOutcome::kRetryTask;
-      return;
-    }
-    terminal_[ti] = Status::TaskFailed(
-        TaskLabel(stage_.name, t) + ": task failed after " +
-        std::to_string(attempts_started_[ti]) +
-        " attempts; last error: " + st.ToString());
-    *oc = CommitOutcome::kCommitted;
-  };
-
-  const CommitFn commit = [this, fail_attempt](int t, std::string_view payload,
-                                               bool duplicate,
-                                               CommitOutcome* oc) {
-    wire::ReduceResponse resp;
-    TIMR_RETURN_NOT_OK(wire::DecodeReduceResponse(payload, &resp));
-    const size_t ti = static_cast<size_t>(t);
-    if (duplicate) {
-      // A replay of a failed attempt carries no output to verify.
-      if (resp.status.ok() && resp.rows != out_rows_[ti]) {
-        return Status::ExecutionError(
-            TaskLabel(stage_.name, t) +
-            ": determinism violation: a duplicate response differs from the "
-            "committed one (" + std::to_string(resp.rows.size()) + " vs " +
-            std::to_string(out_rows_[ti].size()) +
-            " rows); §III-C.1 requires re-executed tasks to be repeatable");
-      }
-      return Status::OK();
-    }
-    cpu_seconds_[ti] += resp.cpu_seconds;
-    stats_->sort_seconds += resp.sort_seconds;
-    if (resp.status.ok()) {
-      out_rows_[ti] = std::move(resp.rows);
-      *oc = CommitOutcome::kCommitted;
-    } else {
-      fail_attempt(t, resp.status, oc);
-    }
-    return Status::OK();
-  };
-
-  const FallbackFn fallback = [this](int t) {
-    const size_t ti = static_cast<size_t>(t);
-    if (bucket_sorted_[ti] == 0) {
-      Stopwatch sort_watch;
-      for (auto& bucket : buckets_[ti]) {
-        std::sort(bucket.begin(), bucket.end(), RowTimeLess);
-      }
-      bucket_sorted_[ti] = 1;
-      stats_->sort_seconds += sort_watch.ElapsedSeconds();
-    }
-    for (;;) {
-      const Fault fault = ProbeFault(t);
-      ReduceAttemptContext ctx;
-      ctx.stage = &stage_;
-      ctx.physical_partition = t;
-      ctx.base_partition = base_of_[ti];
-      ctx.attempt = attempts_started_[ti] - 1;
-      ctx.sort_output = sort_output_[ti] != 0;
-      ctx.buckets = &buckets_[ti];
-      ctx.input_schemas = &schemas_;
-      ctx.fault = fault;
-      std::vector<Row> rows;
-      const double cpu0 = ThreadCpuSeconds();
-      const Status st = RunReduceAttempt(ctx, &rows);
-      cpu_seconds_[ti] += ThreadCpuSeconds() - cpu0;
-      fault_drawn_[ti] = 0;
-      if (st.ok()) {
-        out_rows_[ti] = std::move(rows);
-        return;
-      }
-      if (attempts_started_[ti] < max_attempts_) {
-        stats_->retried_tasks++;
-        continue;
-      }
-      terminal_[ti] = Status::TaskFailed(
-          TaskLabel(stage_.name, t) + ": task failed after " +
-          std::to_string(attempts_started_[ti]) +
-          " attempts; last error: " + st.ToString());
-      return;
-    }
-  };
-
-  TIMR_RETURN_NOT_OK(RunTasks(rpc::MsgType::kReduceRequest,
-                              rpc::MsgType::kReduceResponse, phys_parts_,
-                              encode, commit, fallback));
-  stats_->reduce_seconds = reduce_watch.ElapsedSeconds();
-  for (const Status& st : terminal_) {
-    // First error in partition order; nothing is published on failure.
-    TIMR_RETURN_NOT_OK(st);
-  }
-  return Status::OK();
-}
-
-Status StageRunner::Finish() {
-  Dataset output(stage_.output_schema, static_cast<size_t>(parts_));
-  for (int p = 0; p < parts_; ++p) {
-    output.partition(static_cast<size_t>(p)) =
-        std::move(out_rows_[static_cast<size_t>(p)]);
-  }
-  for (size_t d = 0; d < decisions_.size(); ++d) {
-    std::vector<std::vector<Row>> runs;
-    runs.reserve(1 + static_cast<size_t>(fanout_));
-    runs.push_back(std::move(
-        output.partition(static_cast<size_t>(decisions_[d].partition))));
-    for (int s = 0; s < fanout_; ++s) {
-      runs.push_back(std::move(out_rows_[static_cast<size_t>(vbase_[d] + s)]));
-    }
-    output.partition(static_cast<size_t>(decisions_[d].partition)) =
-        MergeSortedRuns(std::move(runs));
-  }
-  for (int p = 0; p < parts_; ++p) {
-    stats_->rows_out += output.partition(static_cast<size_t>(p)).size();
-  }
-  for (size_t t = 0; t < cpu_seconds_.size(); ++t) {
-    stats_->task_attempts += attempts_started_[t];
-    stats_->task_cpu_seconds_total += cpu_seconds_[t];
-    stats_->task_cpu_seconds_max =
-        std::max(stats_->task_cpu_seconds_max, cpu_seconds_[t]);
-  }
-  stats_->simulated_parallel_seconds =
-      Makespan(cpu_seconds_, env_.num_machines);
-  if (!cpu_seconds_.empty()) {
-    stats_->partition_seconds_max =
-        *std::max_element(cpu_seconds_.begin(), cpu_seconds_.end());
-    stats_->partition_seconds_median = MedianOf(cpu_seconds_);
-  }
-  stats_->wall_seconds = wall_.ElapsedSeconds();
-
-  (*store_)[stage_.output] = std::move(output);
-  if (quarantine_) {
-    (*store_)[QuarantineDatasetName(stage_.name)] = std::move(quarantine_out_);
-  }
-  return Status::OK();
-}
-
-Status StageRunner::Run(bool* ran) {
-  TIMR_RETURN_NOT_OK(Prepare());
-  const int spawned = SpawnGang(opts_.workers);
-  if (spawned == 0) {
-    *ran = false;  // caller falls back to thread mode
-    return Status::OK();
-  }
-  *ran = true;
-  stats_->workers = spawned;
-  TIMR_RETURN_NOT_OK(MapPhase());
-  TIMR_RETURN_NOT_OK(AfterMap());
-  TIMR_RETURN_NOT_OK(ReducePhase());
-  TIMR_RETURN_NOT_OK(Finish());
-  ShutdownAll();
-  return Status::OK();
+  for (AttemptReport& r : reports_) reports->push_back(std::move(r));
+  reports_.clear();
 }
 
 }  // namespace
 
-Status RunStageProcess(const MRStage& stage,
-                       std::map<std::string, Dataset>* store, StageStats* stats,
-                       const ProcessStageEnv& env, bool* ran) {
-  *ran = false;
-  if (!ProcessModeSupported() || env.options == nullptr ||
-      env.options->workers <= 0) {
-    return Status::OK();
-  }
-  StageStats attempt_stats;
-  StageRunner runner(stage, store, &attempt_stats, env);
-  const Status st = runner.Run(ran);
-  if (*ran) *stats = std::move(attempt_stats);
-  return *ran ? st : Status::OK();
+std::unique_ptr<TaskBackend> SpawnWorkerBackend(const StageInputs& in,
+                                                const ProcessOptions& options,
+                                                StageStats* stats) {
+  if (!ProcessModeSupported()) return nullptr;
+  auto backend = std::make_unique<WorkerBackend>(in, options, stats);
+  stats->workers = backend->SpawnGang(options.workers);
+  if (stats->workers == 0) return nullptr;
+  return backend;
 }
 
 }  // namespace timr::mr

@@ -1,61 +1,47 @@
-// Driver side of the multi-process runtime (DESIGN.md §5g).
+// The worker-gang task backend of the stage pipeline (pipeline.h,
+// DESIGN.md §5g).
 //
-// RunStageProcess executes one MRStage across a gang of fork()ed worker
-// processes (worker.h) speaking the length-prefixed RPC of rpc.h over
-// socketpairs. The driver owns the task-attempt scheduler, placement, and the
-// dataset store; workers execute the map / sort / reduce task bodies and ship
-// serialized shuffle partitions and reduce outputs back.
-//
-// Robustness machinery (all exercised by ProcessFaultPlan chaos):
+// It executes a stage's map tasks and reduce attempts on a gang of fork()ed
+// worker processes (worker.h) speaking the length-prefixed RPC of rpc.h over
+// socketpairs. The stage pipeline owns everything else — morsels, skew
+// splits, the canonical shuffle sort, the attempt scheduler with its retries,
+// speculation, and duplicate-output check — so this backend is only the
+// transport:
+//  - spawn and respawn: lost workers are replaced within
+//    max_worker_restarts per stage;
 //  - per-worker heartbeats with a deadline — a worker that goes silent is
 //    SIGKILLed, declared lost, and its in-flight task requeued;
-//  - per-RPC timeout with capped exponential backoff and a bounded transport
-//    retry budget per task; a task that exhausts it runs in-process;
-//  - idempotent task acceptance: responses are attempt-tagged, the first
-//    committed response wins, and a late duplicate is compared against the
-//    committed output — a mismatch is a determinism violation (§III-C.1);
-//  - worker loss detection (EOF, heartbeat deadline, RPC deadline) requeues
-//    in-flight tasks and respawns workers within max_worker_restarts;
+//  - a per-RPC deadline with capped exponential backoff; the same attempt is
+//    re-dispatched, and a task whose dispatches exceed the transport retry
+//    budget runs in-process instead;
 //  - graceful degradation: when every worker is lost and the respawn budget
-//    is spent, remaining tasks run in-process on the driver thread — a job
-//    never fails because workers died; when no worker can be spawned at all,
-//    *ran is false and the caller falls back to the thread-mode runtime.
+//    is spent, what remains runs in-process on the driver thread — a job
+//    never fails because workers died.
 //
-// Output contract: bit-identical to the thread-mode runtime for any worker
+// Output contract: bit-identical to the in-process backend for any worker
 // count, chaos seed, and loss schedule. The task bodies are the same code
 // (RunMapTask / RunReduceAttempt), the serialization round-trips values
-// exactly, and every ordering decision (morsel order, canonical sort, salted
-// split, k-way merge) is the same pure function of the input data.
+// exactly, and the first response for an attempt is its only report.
 
 #pragma once
 
-#include <map>
-#include <string>
+#include <memory>
 
-#include "mr/cluster.h"
+#include "mr/pipeline.h"
 
 namespace timr::mr {
 
-/// Everything RunStageProcess needs from the owning LocalCluster.
-struct ProcessStageEnv {
-  const ProcessOptions* options = nullptr;
-  FaultInjector* injector = nullptr;  // probed driver-side, per reduce attempt
-  const FaultToleranceOptions* fault = nullptr;
-  int num_machines = 1;  // makespan model, default partition count
-};
-
 /// True when this build can run the multi-process runtime. ThreadSanitizer
 /// cannot follow a fork of a multi-threaded process, so TSan builds always
-/// use thread mode.
+/// use the in-process backend.
 bool ProcessModeSupported();
 
-/// Run one stage on a gang of env.options->workers forked worker processes.
-/// Sets *ran=false — leaving store and stats untouched — when process mode is
-/// unsupported or no worker could be spawned; the caller then runs the
-/// thread-mode path. With *ran=true the semantics match
-/// LocalCluster::RunStage exactly (same outputs, same error messages).
-Status RunStageProcess(const MRStage& stage,
-                       std::map<std::string, Dataset>* store, StageStats* stats,
-                       const ProcessStageEnv& env, bool* ran);
+/// Fork a gang of options.workers workers for one stage. Returns nullptr —
+/// the caller then uses the in-process backend — when process mode is
+/// unsupported or no worker could be spawned. Records the gang size and the
+/// transport counters (restarts, RPC retries, heartbeat timeouts) in *stats.
+std::unique_ptr<TaskBackend> SpawnWorkerBackend(const StageInputs& in,
+                                                const ProcessOptions& options,
+                                                StageStats* stats);
 
 }  // namespace timr::mr

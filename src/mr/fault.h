@@ -10,13 +10,13 @@
 //  - FaultKind / Fault: the kinds of task misbehavior the runtime must absorb
 //    (crash, transient error, partial output, lost output, straggler,
 //    corrupted input read);
-//  - FaultInjector: the pluggable fault source the cluster probes at every
-//    reduce attempt. FailureInjector (scripted one-shot discard, the original
-//    test hook) and ScriptedFaultInjector (scripted per-attempt faults) cover
-//    targeted tests; ChaosInjector draws faults from a seeded PRNG keyed on
-//    (stage, partition, attempt), so a chaos run is fully replayable;
+//  - FaultInjector: the pluggable fault source the stage pipeline probes
+//    once per reduce attempt. ScriptedFaultInjector (scripted per-attempt
+//    faults) covers targeted tests; ChaosInjector draws faults from a seeded
+//    PRNG keyed on (stage, partition, attempt), so a chaos run is fully
+//    replayable;
 //  - FaultToleranceOptions: the retry / speculative-execution / quarantine
-//    knobs of the cluster's task-execution path (cluster.cc).
+//    knobs of the stage pipeline's attempt scheduler (pipeline.cc).
 
 #pragma once
 
@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -42,7 +41,7 @@ enum class FaultKind : uint8_t {
   kTransientError,  // the task fails with a transient Status error
   kPartialOutput,   // the task aborts after emitting part of its output
   kDiscardOutput,   // the task completes but its output is lost (machine loss
-                    // after completion — the original FailureInjector::FailOnce)
+                    // after completion)
   kStraggler,       // the task stalls; what speculative execution exists for
   kCorruptInput,    // one input row is corrupted for this attempt only (a bad
                     // read, caught by the same schema check as quarantine)
@@ -55,10 +54,10 @@ struct Fault {
   double straggler_seconds = 0;  // kStraggler: how long the task stalls
 };
 
-/// Pluggable fault source, probed at the start of every reduce attempt.
-/// Implementations must be thread-safe (attempts probe concurrently from the
-/// pool) and should be deterministic in (stage, partition, attempt) so fault
-/// runs are replayable.
+/// Pluggable fault source, probed once per reduce attempt by the attempt
+/// scheduler, on the thread that called RunStage. Implementations should be
+/// deterministic in (stage, partition, attempt) so fault runs are
+/// replayable.
 class FaultInjector {
  public:
   virtual ~FaultInjector() = default;
@@ -68,40 +67,6 @@ class FaultInjector {
   /// `max_attempts` is the retry bound the cluster enforces.
   virtual Fault OnReduceAttempt(const std::string& stage, int partition,
                                 int attempt, int max_attempts) = 0;
-};
-
-/// Scripted one-shot failure per (stage, partition): the first attempt's
-/// output is discarded and the task restarted, as M-R failure handling does
-/// when a machine is lost after its task finished. Tests use this to verify
-/// the repeatability guarantee. Thread-safe: reduce tasks probe it
-/// concurrently from the pool.
-class FailureInjector : public FaultInjector {
- public:
-  void FailOnce(const std::string& stage, int partition) {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_.insert({stage, partition});
-  }
-
-  /// True exactly once per marked task.
-  bool ShouldFail(const std::string& stage, int partition) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return pending_.erase({stage, partition}) > 0;
-  }
-
-  bool empty() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return pending_.empty();
-  }
-
-  Fault OnReduceAttempt(const std::string& stage, int partition, int /*attempt*/,
-                        int /*max_attempts*/) override {
-    return ShouldFail(stage, partition) ? Fault{FaultKind::kDiscardOutput, 0}
-                                        : Fault{};
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::set<std::pair<std::string, int>> pending_;
 };
 
 /// Scripted per-attempt faults for targeted tests: inject exactly the given
@@ -272,10 +237,6 @@ struct FaultToleranceOptions {
   bool speculative_execution = false;
   double straggler_factor = 4.0;
   double min_straggler_seconds = 0.25;
-
-  /// Byte-compare primary and speculative outputs when both complete; a
-  /// mismatch fails the stage as a determinism violation.
-  bool verify_speculative_outputs = true;
 
   /// Validate every input row against its dataset's schema during the map
   /// phase; rows that fail are diverted to the `<stage>.quarantine` dataset

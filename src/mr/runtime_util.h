@@ -1,9 +1,6 @@
-// Small helpers shared by the thread-mode runtime (cluster.cc) and the
-// multi-process driver/worker runtime (driver.cc, worker.cc). Keeping them in
-// one place is a correctness requirement, not tidiness: both runtimes must
-// sort shuffle buckets with the *same* canonical comparator and model the
-// same simulated makespan, or the bit-identical-output contract across modes
-// breaks.
+// Small helpers shared by the stage pipeline (pipeline.cc), the task bodies
+// (worker.cc), and the skew logic (skew.cc): the canonical shuffle order every
+// sort and merge must agree on, and the simulated-makespan model.
 
 #pragma once
 

@@ -1,9 +1,8 @@
-// Adaptive-skew decision logic (SkewPolicy, stage.h), factored out of
-// cluster.cc so the thread-mode runtime and the multi-process driver make
-// *identical* split decisions from identical inputs. Every function here is a
-// pure function of its arguments — never of thread count, timing, or which
-// runtime called it — which is what keeps skew-split outputs bit-identical
-// across modes (ROADMAP 5(b), DESIGN.md §5f).
+// Adaptive-skew decision logic (SkewPolicy, stage.h) used by the stage
+// pipeline. Every function here is a pure function of its arguments — never
+// of thread count, timing, or which backend ran the map tasks — which is what
+// keeps skew-split outputs bit-identical across modes (ROADMAP 5(b),
+// DESIGN.md §5f).
 
 #pragma once
 

@@ -12,7 +12,6 @@
 #include <unordered_map>
 
 #include "common/hash.h"
-#include "common/stopwatch.h"
 #include "mr/rpc.h"
 #include "mr/runtime_util.h"
 
@@ -20,9 +19,13 @@ namespace timr::mr {
 
 // ------------------------------------------------- shared map task body --
 
-Status RunMapTask(const MRStage& stage, const Schema& input_schema,
-                  std::vector<Row>* src_rows, const MapTaskSpec& spec,
+Status RunMapTask(const StageInputs& in, const MapTaskSpec& spec,
                   MapTaskResult* out, const std::atomic<bool>* abort) {
+  const MRStage& stage = *in.stage;
+  const auto input = static_cast<size_t>(spec.input_index);
+  const Schema& input_schema = in.schemas[input];
+  std::vector<Row>* src_rows =
+      &in.datasets[input]->partition(spec.src_partition);
   out->buckets.assign(static_cast<size_t>(spec.parts), {});
   std::unordered_map<uint64_t, uint32_t> sketch;
   std::vector<int> targets;
@@ -86,11 +89,15 @@ Status RunMapTask(const MRStage& stage, const Schema& input_schema,
 
 // -------------------------------------------- shared reduce attempt body --
 
-Status RunReduceAttempt(const ReduceAttemptContext& ctx,
-                        std::vector<Row>* out_rows) {
+AttemptReport RunReduceAttempt(const ReduceAttemptContext& ctx) {
   const MRStage& stage = *ctx.stage;
   const Fault& fault = ctx.fault;
   const int p = ctx.physical_partition;
+  AttemptReport report;
+  report.task = p;
+  report.attempt = ctx.attempt;
+  const double cpu0 = ThreadCpuSeconds();
+  std::vector<Row>* out_rows = &report.rows;
   Status st;
   // Task boundary: nothing a reducer does — throw, error, stall, emit and
   // lose output — escapes this block as anything but a Status.
@@ -157,7 +164,9 @@ Status RunReduceAttempt(const ReduceAttemptContext& ctx,
     // byte-compares see order-independent outputs.
     std::sort(out_rows->begin(), out_rows->end(), RowTimeLess);
   }
-  return st;
+  report.status = std::move(st);
+  report.cpu_seconds = ThreadCpuSeconds() - cpu0;
+  return report;
 }
 
 // ------------------------------------------------- request/response wire --
@@ -306,10 +315,7 @@ void EncodeReduceRequest(const ReduceRequest& req,
   w.U32(req.dispatch);
   w.U32(req.attempt);
   w.U32(req.base_partition);
-  uint8_t flags = 0;
-  if (req.sort_output) flags |= 1;
-  if (req.presorted) flags |= 2;
-  w.U8(flags);
+  w.U8(req.sort_output ? 1 : 0);
   w.U8(static_cast<uint8_t>(req.fault_kind));
   w.F64(req.straggler_seconds);
   w.U32(static_cast<uint32_t>(buckets.size()));
@@ -326,18 +332,18 @@ void EncodeReduceRequest(const ReduceRequest& req, std::string* payload) {
 
 Status DecodeReduceRequest(std::string_view payload, ReduceRequest* req) {
   rpc::WireReader r(payload);
-  uint8_t flags = 0;
+  uint8_t sort_output = 0;
   uint8_t fault_kind = 0;
   uint32_t ninputs = 0;
   if (!r.U32(&req->task_id) || !r.U32(&req->dispatch) ||
-      !r.U32(&req->attempt) || !r.U32(&req->base_partition) || !r.U8(&flags) ||
-      !r.U8(&fault_kind) || !r.F64(&req->straggler_seconds) ||
+      !r.U32(&req->attempt) || !r.U32(&req->base_partition) ||
+      !r.U8(&sort_output) || !r.U8(&fault_kind) ||
+      !r.F64(&req->straggler_seconds) ||
       !r.U32(&ninputs) || ninputs > (1u << 16) ||
       fault_kind > static_cast<uint8_t>(FaultKind::kCorruptInput)) {
     return Status::RpcError("malformed reduce request payload");
   }
-  req->sort_output = (flags & 1) != 0;
-  req->presorted = (flags & 2) != 0;
+  req->sort_output = sort_output != 0;
   req->fault_kind = static_cast<FaultKind>(fault_kind);
   req->input_schemas.resize(ninputs);
   req->buckets.resize(ninputs);
@@ -354,7 +360,6 @@ void EncodeReduceResponse(const ReduceResponse& resp, std::string* payload) {
   w.U32(resp.task_id);
   w.U32(resp.dispatch);
   w.F64(resp.cpu_seconds);
-  w.F64(resp.sort_seconds);
   w.U8(resp.status.ok() ? 1 : 0);
   if (resp.status.ok()) {
     w.Rows(resp.rows);
@@ -370,8 +375,7 @@ Status DecodeReduceResponse(std::string_view payload, ReduceResponse* resp) {
   rpc::WireReader r(payload);
   uint8_t ok = 0;
   if (!r.U32(&resp->task_id) || !r.U32(&resp->dispatch) ||
-      !r.F64(&resp->cpu_seconds) || !r.F64(&resp->sort_seconds) ||
-      !r.U8(&ok)) {
+      !r.F64(&resp->cpu_seconds) || !r.U8(&ok)) {
     return Status::RpcError("malformed reduce response payload");
   }
   if (ok != 0) {
@@ -442,7 +446,7 @@ class ScriptedKillState {
       if (fired_[i] != 0) continue;
       const ScriptedProcessKill& s = scripted[i];
       if (s.worker_index != env_.worker_index || s.window != window) continue;
-      if (s.stage != "*" && s.stage != env_.stage->name) continue;
+      if (s.stage != "*" && s.stage != env_.inputs->stage->name) continue;
       fired_[i] = 1;
       return true;
     }
@@ -457,7 +461,7 @@ class ScriptedKillState {
 }  // namespace
 
 void WorkerMain(int fd, const WorkerEnv& env) {
-  const MRStage& stage = *env.stage;
+  const MRStage& stage = *env.inputs->stage;
   std::mutex send_mu;
   std::atomic<bool> hb_stop{false};
   // Heartbeats flow from a dedicated thread so a long-running task does not
@@ -498,10 +502,7 @@ void WorkerMain(int fd, const WorkerEnv& env) {
         wire::MapResponse resp;
         resp.task_id = spec.task_id;
         resp.dispatch = spec.dispatch;
-        Dataset* input = env.inputs[static_cast<size_t>(spec.input_index)];
-        resp.status =
-            RunMapTask(stage, env.input_schemas[static_cast<size_t>(spec.input_index)],
-                       &input->partition(spec.src_partition), spec, &resp.result);
+        resp.status = RunMapTask(*env.inputs, spec, &resp.result);
         std::string payload;
         wire::EncodeMapResponse(resp, &payload);
         if (chaos == ProcessFaultKind::kTruncateResponse) {
@@ -540,17 +541,6 @@ void WorkerMain(int fd, const WorkerEnv& env) {
             static_cast<int>(req.task_id), static_cast<int>(req.dispatch));
         if (chaos == ProcessFaultKind::kKillAtTaskStart) DieBySigkill();
 
-        wire::ReduceResponse resp;
-        resp.task_id = req.task_id;
-        resp.dispatch = req.dispatch;
-        const double cpu0 = ThreadCpuSeconds();
-        if (!req.presorted) {
-          Stopwatch sort_watch;
-          for (auto& bucket : req.buckets) {
-            std::sort(bucket.begin(), bucket.end(), RowTimeLess);
-          }
-          resp.sort_seconds = sort_watch.ElapsedSeconds();
-        }
         ReduceAttemptContext ctx;
         ctx.stage = &stage;
         ctx.physical_partition = static_cast<int>(req.task_id);
@@ -560,8 +550,13 @@ void WorkerMain(int fd, const WorkerEnv& env) {
         ctx.buckets = &req.buckets;
         ctx.input_schemas = &req.input_schemas;
         ctx.fault = Fault{req.fault_kind, req.straggler_seconds};
-        resp.status = RunReduceAttempt(ctx, &resp.rows);
-        resp.cpu_seconds = ThreadCpuSeconds() - cpu0;
+        AttemptReport report = RunReduceAttempt(ctx);
+        wire::ReduceResponse resp;
+        resp.task_id = req.task_id;
+        resp.dispatch = req.dispatch;
+        resp.cpu_seconds = report.cpu_seconds;
+        resp.status = std::move(report.status);
+        resp.rows = std::move(report.rows);
 
         std::string payload;
         wire::EncodeReduceResponse(resp, &payload);

@@ -1,20 +1,20 @@
-// Worker side of the multi-process runtime (DESIGN.md §5g), plus the task
-// bodies it shares with the thread-mode runtime.
+// Task bodies shared by every backend, and the worker side of the
+// multi-process runtime (DESIGN.md §5g).
+//
+// RunMapTask / RunReduceAttempt are the single implementation of the map and
+// reduce task bodies: the in-process backend (pipeline.cc), WorkerMain (worker
+// process), and the worker-gang backend's in-process fallback (driver.cc) all
+// call them, so every mode absorbs the same FaultKinds with identical
+// semantics and produces identical bytes.
 //
 // The worker is a process fork()ed by the driver at stage start: it inherits
 // the stage (closures and all — PartitionFn/ReducerFn cannot cross a process
 // boundary by serialization) and a copy-on-write snapshot of the stage's
 // input datasets, then serves task RPCs over its socketpair until told to
 // shut down. Map tasks read the inherited inputs by (partition, row range)
-// and ship serialized shuffle buckets back; reduce tasks receive serialized
-// shuffle partitions, sort them canonically, run the reducer, and ship the
-// output rows back. A heartbeat thread keeps liveness flowing while a long
-// task runs.
-//
-// RunMapTask / RunReduceAttempt are the single implementation of the map and
-// reduce task bodies: cluster.cc (thread mode), WorkerMain (worker process),
-// and the driver's in-process fallback all call them, so every mode absorbs
-// the same FaultKinds with identical semantics and produces identical bytes.
+// and ship serialized shuffle buckets back; reduce tasks receive canonically
+// presorted shuffle partitions, run the reducer, and ship the output rows
+// back. A heartbeat thread keeps liveness flowing while a long task runs.
 
 #pragma once
 
@@ -30,6 +30,13 @@
 #include "mr/stage.h"
 
 namespace timr::mr {
+
+/// A stage and its resolved input datasets — what every task body reads.
+struct StageInputs {
+  const MRStage* stage = nullptr;
+  std::vector<Dataset*> datasets;
+  std::vector<Schema> schemas;
+};
 
 // ------------------------------------------------- shared map task body --
 
@@ -58,13 +65,11 @@ struct MapTaskResult {
   std::vector<std::pair<uint64_t, uint32_t>> sketch;
 };
 
-/// Route one morsel's rows into per-destination buckets — the map-phase body
-/// shared verbatim by thread mode, worker processes, and the driver's
-/// in-process fallback. Errors (partitioner target out of range, an escaped
-/// partitioner exception) return non-OK; quarantined rows are not errors.
-/// `abort` (optional) makes the task return early when another morsel failed.
-Status RunMapTask(const MRStage& stage, const Schema& input_schema,
-                  std::vector<Row>* src_rows, const MapTaskSpec& spec,
+/// Route one morsel's rows into per-destination buckets. Errors (partitioner
+/// target out of range, an escaped partitioner exception) return non-OK;
+/// quarantined rows are not errors. `abort` (optional) makes the task return
+/// early when another morsel failed.
+Status RunMapTask(const StageInputs& in, const MapTaskSpec& spec,
                   MapTaskResult* out,
                   const std::atomic<bool>* abort = nullptr);
 
@@ -81,12 +86,19 @@ struct ReduceAttemptContext {
   Fault fault;  // injected fault to apply (probed by the caller)
 };
 
+/// The outcome of one reduce attempt.
+struct AttemptReport {
+  int task = 0;  // physical partition
+  int attempt = 0;
+  Status status;
+  std::vector<Row> rows;  // empty unless status.ok() (per-attempt discard)
+  double cpu_seconds = 0;
+};
+
 /// One reduce attempt: apply the injected fault, run the reducer inside the
 /// task boundary (nothing escapes as anything but a Status), canonically sort
-/// the output when ctx.sort_output. On error `out_rows` is left empty
-/// (per-attempt output discard).
-Status RunReduceAttempt(const ReduceAttemptContext& ctx,
-                        std::vector<Row>* out_rows);
+/// the output when ctx.sort_output, and measure the attempt's thread CPU.
+AttemptReport RunReduceAttempt(const ReduceAttemptContext& ctx);
 
 // ------------------------------------------------- request/response wire --
 
@@ -113,11 +125,10 @@ struct ReduceRequest {
   uint32_t attempt = 0;
   uint32_t base_partition = 0;
   bool sort_output = false;
-  bool presorted = false;  // inputs already canonically sorted (skip sort)
   FaultKind fault_kind = FaultKind::kNone;  // injected fault for this attempt
   double straggler_seconds = 0;
   std::vector<Schema> input_schemas;
-  std::vector<std::vector<Row>> buckets;  // per input, shuffle rows
+  std::vector<std::vector<Row>> buckets;  // per input, canonically sorted
 };
 void EncodeReduceRequest(const ReduceRequest& req, std::string* payload);
 /// Same wire layout, but schemas/buckets come from the caller's storage —
@@ -133,7 +144,6 @@ struct ReduceResponse {
   uint32_t task_id = 0;
   uint32_t dispatch = 0;
   double cpu_seconds = 0;
-  double sort_seconds = 0;
   Status status;
   std::vector<Row> rows;  // valid when status.ok()
 };
@@ -151,10 +161,7 @@ bool PeekIds(std::string_view payload, uint32_t* task_id, uint32_t* dispatch);
 
 struct WorkerEnv {
   int worker_index = 0;
-  const MRStage* stage = nullptr;
-  std::vector<Dataset*> inputs;  // COW snapshot; map tasks read these
-  std::vector<Schema> input_schemas;
-  bool quarantine = false;
+  const StageInputs* inputs = nullptr;  // COW snapshot; map tasks read these
   ProcessFaultPlan chaos;
   double heartbeat_interval_seconds = 0.05;
 };

@@ -18,6 +18,7 @@
 #include "bt_test_util.h"
 #include "mr/checkpoint.h"
 #include "mr/cluster.h"
+#include "mr/driver.h"
 #include "mr/fault.h"
 
 namespace timr::mr {
@@ -33,6 +34,20 @@ Dataset MakeData(std::vector<std::tuple<int64_t, int64_t, int64_t>> rows) {
   std::vector<Row> out;
   for (auto& [t, k, v] : rows) out.push_back({Value(t), Value(k), Value(v)});
   return Dataset::FromRows(RowSchema(), std::move(out));
+}
+
+/// Worker counts for tests that must hold on both task backends: the
+/// in-process backend (0), and the worker-gang backend (2) where this build
+/// supports it.
+std::vector<int> BackendWorkers() {
+  if (!ProcessModeSupported()) return {0};
+  return {0, 2};
+}
+
+ProcessOptions Workers(int workers) {
+  ProcessOptions p;
+  p.workers = workers;
+  return p;
 }
 
 MRStage IdentityStage(std::string in, std::string out, int key_col) {
@@ -150,10 +165,10 @@ TEST(Cluster, FailureInjectionRetriesAndMatches) {
   ASSERT_TRUE(cluster.RunStage(stage, &store, &clean_stats).ok());
   auto clean = store.at("out").Gather();
 
-  FailureInjector injector;
-  injector.FailOnce("identity", 0);
-  injector.FailOnce("identity", 3);
-  cluster.set_failure_injector(&injector);
+  ScriptedFaultInjector injector;
+  injector.InjectAt("identity", 0, 0, {FaultKind::kDiscardOutput});
+  injector.InjectAt("identity", 3, 0, {FaultKind::kDiscardOutput});
+  cluster.set_fault_injector(&injector);
   stage.output = "out2";
   StageStats retry_stats;
   ASSERT_TRUE(cluster.RunStage(stage, &store, &retry_stats).ok());
@@ -275,25 +290,29 @@ TEST(Cluster, ShuffleIsDeterministicAcrossThreadCounts) {
 }
 
 TEST(Cluster, PerPhaseStatsArePopulated) {
-  LocalCluster cluster(4, 2);
-  std::map<std::string, Dataset> store;
-  store["in"] = BigData(5000);
-  StageStats stats;
-  ASSERT_TRUE(cluster.RunStage(IdentityStage("in", "out", 1), &store, &stats)
-                  .ok());
-  EXPECT_GT(stats.wall_seconds, 0.0);
-  EXPECT_GT(stats.map_shuffle_seconds, 0.0);
-  EXPECT_GT(stats.sort_seconds, 0.0);
-  EXPECT_GT(stats.reduce_seconds, 0.0);
-  // Phases are disjoint sub-intervals of the stage's wall time.
-  EXPECT_LE(stats.map_shuffle_seconds + stats.sort_seconds +
-                stats.reduce_seconds,
-            stats.wall_seconds + 1e-6);
-  JobStats job;
-  job.stages.push_back(stats);
-  EXPECT_NE(job.ToString().find("map="), std::string::npos);
-  EXPECT_NE(job.ToString().find("sort="), std::string::npos);
-  EXPECT_NE(job.ToString().find("reduce="), std::string::npos);
+  for (const int workers : BackendWorkers()) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    LocalCluster cluster(4, 2);
+    cluster.set_process_options(Workers(workers));
+    std::map<std::string, Dataset> store;
+    store["in"] = BigData(5000);
+    StageStats stats;
+    ASSERT_TRUE(
+        cluster.RunStage(IdentityStage("in", "out", 1), &store, &stats).ok());
+    EXPECT_GT(stats.wall_seconds, 0.0);
+    EXPECT_GT(stats.map_shuffle_seconds, 0.0);
+    EXPECT_GT(stats.sort_seconds, 0.0);
+    EXPECT_GT(stats.reduce_seconds, 0.0);
+    // Phases are disjoint sub-intervals of the stage's wall time.
+    EXPECT_LE(stats.map_shuffle_seconds + stats.sort_seconds +
+                  stats.reduce_seconds,
+              stats.wall_seconds + 1e-6);
+    JobStats job;
+    job.stages.push_back(stats);
+    EXPECT_NE(job.ToString().find("map="), std::string::npos);
+    EXPECT_NE(job.ToString().find("sort="), std::string::npos);
+    EXPECT_NE(job.ToString().find("reduce="), std::string::npos);
+  }
 }
 
 TEST(Cluster, ConsumableInputIsMovedAndReleased) {
@@ -493,80 +512,88 @@ TEST(Fault, EveryFaultKindIsAbsorbedBitIdentically) {
 // ---------------------------------------------------------------------------
 
 TEST(Fault, SpeculativeBackupBeatsStraggler) {
-  std::map<std::string, Dataset> store;
-  store["in"] = MakeData({{1, 0, 0}, {2, 1, 1}, {3, 2, 2}, {4, 3, 3}});
-  LocalCluster cluster(4, /*num_threads=*/3);
-  MRStage stage = IdentityStage("in", "out", 1);
-  stage.partition_fn = [](int, const Row& row, int parts,
-                          std::vector<int>* t) {
-    t->push_back(static_cast<int>(row[1].AsInt64()) % parts);
-  };
+  for (const int workers : BackendWorkers()) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    std::map<std::string, Dataset> store;
+    store["in"] = MakeData({{1, 0, 0}, {2, 1, 1}, {3, 2, 2}, {4, 3, 3}});
+    LocalCluster cluster(4, /*num_threads=*/3);
+    cluster.set_process_options(Workers(workers));
+    MRStage stage = IdentityStage("in", "out", 1);
+    stage.partition_fn = [](int, const Row& row, int parts,
+                            std::vector<int>* t) {
+      t->push_back(static_cast<int>(row[1].AsInt64()) % parts);
+    };
 
-  StageStats clean_stats;
-  ASSERT_TRUE(cluster.RunStage(stage, &store, &clean_stats).ok());
-  auto clean = store.at("out").Gather();
+    StageStats clean_stats;
+    ASSERT_TRUE(cluster.RunStage(stage, &store, &clean_stats).ok());
+    auto clean = store.at("out").Gather();
 
-  // Partition 0's first attempt stalls for ~1.5s; the other partitions finish
-  // in microseconds, so the monitor's median-based threshold trips quickly
-  // and launches a backup, which wins. The stalled primary eventually
-  // completes with identical output (verified byte-for-byte).
-  ScriptedFaultInjector injector;
-  injector.InjectAt("identity", 0, 0, {FaultKind::kStraggler, 1.5});
-  cluster.set_fault_injector(&injector);
-  FaultToleranceOptions ft;
-  ft.speculative_execution = true;
-  ft.min_straggler_seconds = 0.05;
-  ft.straggler_factor = 4.0;
-  cluster.set_fault_tolerance(ft);
+    // Partition 0's first attempt stalls for ~1.5s; the other partitions
+    // finish in microseconds, so the monitor's median-based threshold trips
+    // quickly and launches a backup, which wins. The stalled primary
+    // eventually completes with identical output (verified byte-for-byte).
+    ScriptedFaultInjector injector;
+    injector.InjectAt("identity", 0, 0, {FaultKind::kStraggler, 1.5});
+    cluster.set_fault_injector(&injector);
+    FaultToleranceOptions ft;
+    ft.speculative_execution = true;
+    ft.min_straggler_seconds = 0.05;
+    ft.straggler_factor = 4.0;
+    cluster.set_fault_tolerance(ft);
 
-  stage.output = "out2";
-  StageStats stats;
-  ASSERT_TRUE(cluster.RunStage(stage, &store, &stats).ok());
-  EXPECT_GE(stats.speculative_tasks, 1);
-  EXPECT_GE(stats.speculative_won, 1);
-  EXPECT_EQ(stats.retried_tasks, 0);
-  EXPECT_EQ(store.at("out2").Gather(), clean);
+    stage.output = "out2";
+    StageStats stats;
+    ASSERT_TRUE(cluster.RunStage(stage, &store, &stats).ok());
+    EXPECT_GE(stats.speculative_tasks, 1);
+    EXPECT_GE(stats.speculative_won, 1);
+    EXPECT_EQ(stats.retried_tasks, 0);
+    EXPECT_EQ(store.at("out2").Gather(), clean);
+  }
 }
 
 TEST(Fault, SpeculativeOutputMismatchIsDeterminismViolation) {
-  std::map<std::string, Dataset> store;
-  store["in"] = MakeData({{1, 0, 0}, {2, 1, 1}});
-  LocalCluster cluster(2, /*num_threads=*/3);
+  for (const int workers : BackendWorkers()) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    std::map<std::string, Dataset> store;
+    store["in"] = MakeData({{1, 0, 0}, {2, 1, 1}});
+    LocalCluster cluster(2, /*num_threads=*/3);
+    cluster.set_process_options(Workers(workers));
 
-  MRStage stage;
-  stage.name = "nondet";
-  stage.inputs = {"in"};
-  stage.output = "out";
-  stage.output_schema = RowSchema();
-  stage.num_partitions = 2;
-  stage.partition_fn = [](int, const Row& row, int parts,
-                          std::vector<int>* t) {
-    t->push_back(static_cast<int>(row[1].AsInt64()) % parts);
-  };
-  // A deliberately nondeterministic reducer: each invocation emits a distinct
-  // value, so primary and backup cannot agree.
-  auto counter = std::make_shared<std::atomic<int64_t>>(0);
-  stage.reducer = [counter](int p, const std::vector<std::vector<Row>>&,
-                            std::vector<Row>* output) {
-    output->push_back(
-        {Value(int64_t{0}), Value(int64_t{p}), Value(counter->fetch_add(1))});
-    return Status::OK();
-  };
+    MRStage stage;
+    stage.name = "nondet";
+    stage.inputs = {"in"};
+    stage.output = "out";
+    stage.output_schema = RowSchema();
+    stage.num_partitions = 2;
+    stage.partition_fn = [](int, const Row& row, int parts,
+                            std::vector<int>* t) {
+      t->push_back(static_cast<int>(row[1].AsInt64()) % parts);
+    };
+    // A deliberately nondeterministic reducer: each invocation emits a
+    // distinct value, so primary and backup cannot agree.
+    auto counter = std::make_shared<std::atomic<int64_t>>(0);
+    stage.reducer = [counter](int p, const std::vector<std::vector<Row>>&,
+                              std::vector<Row>* output) {
+      output->push_back({Value(int64_t{0}), Value(int64_t{p}),
+                         Value(counter->fetch_add(1))});
+      return Status::OK();
+    };
 
-  ScriptedFaultInjector injector;
-  injector.InjectAt("nondet", 0, 0, {FaultKind::kStraggler, 1.0});
-  cluster.set_fault_injector(&injector);
-  FaultToleranceOptions ft;
-  ft.speculative_execution = true;
-  ft.min_straggler_seconds = 0.05;
-  cluster.set_fault_tolerance(ft);
+    ScriptedFaultInjector injector;
+    injector.InjectAt("nondet", 0, 0, {FaultKind::kStraggler, 1.0});
+    cluster.set_fault_injector(&injector);
+    FaultToleranceOptions ft;
+    ft.speculative_execution = true;
+    ft.min_straggler_seconds = 0.05;
+    cluster.set_fault_tolerance(ft);
 
-  StageStats stats;
-  Status st = cluster.RunStage(stage, &store, &stats);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("determinism violation"), std::string::npos)
-      << st.ToString();
-  EXPECT_EQ(store.count("out"), 0u);
+    StageStats stats;
+    Status st = cluster.RunStage(stage, &store, &stats);
+    ASSERT_FALSE(st.ok());
+    EXPECT_NE(st.message().find("determinism violation"), std::string::npos)
+        << st.ToString();
+    EXPECT_EQ(store.count("out"), 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -634,16 +661,20 @@ TEST(Fault, QuarantineAboveThresholdFailsWithDataError) {
 }
 
 TEST(Fault, MalformedRowWithoutQuarantineIsStatusNotCrash) {
-  std::map<std::string, Dataset> store;
-  store["in"] = MakeData({{1, 1, 0}});
-  store["in"].partition(0).push_back({Value("bad"), Value(1), Value(1)});
-  LocalCluster cluster(2, 2);
-  StageStats stats;
-  Status st = cluster.RunStage(IdentityStage("in", "out", 1), &store, &stats);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kExecutionError);
-  EXPECT_NE(st.message().find("shuffle sort threw"), std::string::npos)
-      << st.ToString();
+  for (const int workers : BackendWorkers()) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    std::map<std::string, Dataset> store;
+    store["in"] = MakeData({{1, 1, 0}});
+    store["in"].partition(0).push_back({Value("bad"), Value(1), Value(1)});
+    LocalCluster cluster(2, 2);
+    cluster.set_process_options(Workers(workers));
+    StageStats stats;
+    Status st = cluster.RunStage(IdentityStage("in", "out", 1), &store, &stats);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kExecutionError);
+    EXPECT_NE(st.message().find("shuffle sort threw"), std::string::npos)
+        << st.ToString();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -370,7 +370,6 @@ TEST(RpcMessages, ReduceRequestRoundTripAndZeroCopyOverloadAgree) {
   req.attempt = 1;
   req.base_partition = 3;
   req.sort_output = true;
-  req.presorted = true;
   req.fault_kind = FaultKind::kStraggler;
   req.straggler_seconds = 0.125;
   req.input_schemas = {TestSchema()};
@@ -391,7 +390,6 @@ TEST(RpcMessages, ReduceRequestRoundTripAndZeroCopyOverloadAgree) {
   EXPECT_EQ(got.attempt, 1u);
   EXPECT_EQ(got.base_partition, 3u);
   EXPECT_TRUE(got.sort_output);
-  EXPECT_TRUE(got.presorted);
   EXPECT_EQ(got.fault_kind, FaultKind::kStraggler);
   EXPECT_EQ(got.straggler_seconds, 0.125);
   EXPECT_EQ(got.buckets, req.buckets);
@@ -402,7 +400,6 @@ TEST(RpcMessages, ReduceResponseRoundTrip) {
   resp.task_id = 11;
   resp.dispatch = 0;
   resp.cpu_seconds = 0.25;
-  resp.sort_seconds = 0.0625;
   resp.status = Status::OK();
   resp.rows = TestRows();
   std::string payload;
@@ -411,7 +408,6 @@ TEST(RpcMessages, ReduceResponseRoundTrip) {
   ASSERT_TRUE(wire::DecodeReduceResponse(payload, &got).ok());
   EXPECT_EQ(got.task_id, 11u);
   EXPECT_EQ(got.cpu_seconds, 0.25);
-  EXPECT_EQ(got.sort_seconds, 0.0625);
   EXPECT_EQ(got.rows, TestRows());
 }
 

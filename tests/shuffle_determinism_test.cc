@@ -1,7 +1,7 @@
 // The parallel shuffle pipeline's repeatability guarantee: one BT job must
 // produce bit-identical datasets and stable row stats for any host thread
-// count, and reducer retries (FailureInjector) under the parallel shuffle
-// must reproduce exactly the same output (paper §III-C.1).
+// count, and reducer retries (ScriptedFaultInjector) under the parallel
+// shuffle must reproduce exactly the same output (paper §III-C.1).
 
 #include <gtest/gtest.h>
 
@@ -107,9 +107,9 @@ TEST(ShuffleDeterminism, ReducerRetryWithExchangeElisionIsRepeatable) {
   ASSERT_TRUE(clean.status.ok()) << clean.status.ToString();
   ASSERT_FALSE(clean.stats.stages.empty());
 
-  mr::FailureInjector injector;
+  mr::ScriptedFaultInjector injector;
   for (const auto& stage : clean.stats.stages) {
-    injector.FailOnce(stage.name, 0);
+    injector.InjectAt(stage.name, 0, 0, {mr::FaultKind::kDiscardOutput});
   }
   testutil::BtRunConfig retry_cfg = cfg;
   retry_cfg.injector = &injector;
@@ -126,15 +126,16 @@ TEST(ShuffleDeterminism, ReducerRetryUnderParallelShuffleIsRepeatable) {
 
   // Fail one task in every stage (and a second one in the first stage), all
   // racing against the parallel map/sort/reduce pipeline.
-  mr::FailureInjector injector;
+  mr::ScriptedFaultInjector injector;
   int injected = 0;
   for (const auto& stage : clean.stats.stages) {
-    injector.FailOnce(stage.name, 0);
+    injector.InjectAt(stage.name, 0, 0, {mr::FaultKind::kDiscardOutput});
     ++injected;
   }
   if (clean.stats.stages[0].partitions > 1) {
-    injector.FailOnce(clean.stats.stages[0].name,
-                      clean.stats.stages[0].partitions - 1);
+    injector.InjectAt(clean.stats.stages[0].name,
+                      clean.stats.stages[0].partitions - 1, 0,
+                      {mr::FaultKind::kDiscardOutput});
     ++injected;
   }
 
@@ -246,16 +247,17 @@ TEST(ShuffleDeterminism, AdaptiveSkewReducerRetryIsRepeatable) {
   BtRun clean = RunBtJob(cfg);
   ASSERT_TRUE(clean.status.ok()) << clean.status.ToString();
 
-  mr::FailureInjector injector;
+  mr::ScriptedFaultInjector injector;
   int injected = 0;
   for (const auto& stage : clean.stats.stages) {
     // Partition indices past `partitions` are the virtual (split) tasks; fail
     // the last physical task of every splitting stage plus partition 0.
-    injector.FailOnce(stage.name, 0);
+    injector.InjectAt(stage.name, 0, 0, {mr::FaultKind::kDiscardOutput});
     ++injected;
     if (stage.virtual_partitions > 0) {
-      injector.FailOnce(stage.name,
-                        stage.partitions + stage.virtual_partitions - 1);
+      injector.InjectAt(stage.name,
+                        stage.partitions + stage.virtual_partitions - 1, 0,
+                        {mr::FaultKind::kDiscardOutput});
       ++injected;
     }
   }

@@ -121,10 +121,10 @@ TEST(TimrExec, ReducerRestartIsRepeatable) {
                                   {{"ClickLog", {ClickSchema(), clicks}}});
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
-  mr::FailureInjector injector;
-  injector.FailOnce("frag_0", 0);
-  injector.FailOnce("frag_0", 2);
-  cluster.set_failure_injector(&injector);
+  mr::ScriptedFaultInjector injector;
+  injector.InjectAt("frag_0", 0, 0, {mr::FaultKind::kDiscardOutput});
+  injector.InjectAt("frag_0", 2, 0, {mr::FaultKind::kDiscardOutput});
+  cluster.set_fault_injector(&injector);
   auto retried = RunPlanOnEvents(&cluster, RunningClickCount(true).node(),
                                  {{"ClickLog", {ClickSchema(), clicks}}});
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
