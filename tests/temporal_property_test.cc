@@ -396,6 +396,12 @@ struct BatchCase {
   uint64_t seed;
 };
 
+// Without this, gtest prints the case as raw bytes, which include the address
+// of `name`; the discovered ctest names would then change from run to run.
+void PrintTo(const BatchCase& c, std::ostream* os) {
+  *os << c.name << "_seed" << c.seed;
+}
+
 class BatchEquivalence : public ::testing::TestWithParam<BatchCase> {
  protected:
   // Every operator family, including a fusable stateless chain (the shared
