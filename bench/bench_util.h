@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "bt/queries.h"
 #include "mr/cluster.h"
@@ -58,7 +59,17 @@ inline void Note(const std::string& text) { std::printf("%s\n", text.c_str()); }
 
 // ---------- Machine-readable bench output (TIMR_BENCH_JSON) ----------
 
-/// One JSON line, appended to $TIMR_BENCH_JSON (no-op when unset). Usage:
+// Run metadata, fixed when the bench build is configured (bench/CMakeLists).
+#ifndef TIMR_GIT_SHA
+#define TIMR_GIT_SHA "unknown"
+#endif
+#ifndef TIMR_BUILD_TYPE
+#define TIMR_BUILD_TYPE "unknown"
+#endif
+
+/// One JSON line, appended to $TIMR_BENCH_JSON (no-op when unset). Every line
+/// records the git sha, core count and build type it was measured with, so a
+/// committed BENCH file says which code on which host it describes. Usage:
 ///   JsonLine("bench_fig15").Str("stage", name).Num("wall_seconds", s).Append();
 class JsonLine {
  public:
@@ -66,6 +77,9 @@ class JsonLine {
     os_ << "{\"bench\":";
     Quote(bench);
     Num("scale", BenchScale());
+    Str("git_sha", TIMR_GIT_SHA);
+    Int("nproc", static_cast<long long>(std::thread::hardware_concurrency()));
+    Str("build_type", TIMR_BUILD_TYPE);
   }
 
   JsonLine& Str(const std::string& key, const std::string& value) {

@@ -67,7 +67,9 @@ struct StageStats {
   size_t rows_out = 0;
   size_t quarantined_rows = 0;  // diverted to <stage>.quarantine
   int partitions = 0;
-  double wall_seconds = 0;            // actual elapsed on this host
+  // Actual elapsed on this host, from stage start to the published output,
+  // including freeing the shuffle buckets after the last reduce attempt.
+  double wall_seconds = 0;
   // Per-phase wall time (sums to ~wall_seconds); lets benches attribute a
   // stage's cost to routing, sorting, or the reducers.
   double map_shuffle_seconds = 0;     // phase 1: parallel map + routing

@@ -523,6 +523,11 @@ Status StagePipeline::Reduce(TaskBackend* backend) {
       }
     }
   }
+  // Every attempt has reported, so no reducer reads the shuffle buckets any
+  // more. Free them here, inside the reduce phase and the stage wall: they
+  // hold every reducer-input row, and freeing them mid-phase, while other
+  // reducers still allocate, contends on the allocator.
+  std::vector<std::vector<std::vector<Row>>>().swap(buckets_);
   stats_->reduce_seconds = reduce_watch.ElapsedSeconds();
 
   task_seconds_.assign(static_cast<size_t>(phys_parts_), 0.0);

@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -50,28 +49,6 @@ struct AggregateSpec {
 
 namespace internal {
 
-/// Incrementally maintainable aggregate state supporting retraction.
-class Accumulator {
- public:
-  virtual ~Accumulator() = default;
-  virtual void Add(double v) = 0;
-  virtual void Remove(double v) = 0;
-  virtual Value Current() const = 0;
-  int64_t count() const { return count_; }
-
-  /// Apply a pre-merged boundary delta (net count change `dn`, net value-sum
-  /// change `dsum`). Only scalar accumulators (Count/Sum/Avg) support this;
-  /// Min/Max need individual retractions.
-  virtual void ApplyDelta(int64_t dn, double dsum) {
-    (void)dn;
-    (void)dsum;
-    TIMR_CHECK(false) << "ApplyDelta on a non-scalar accumulator";
-  }
-
- protected:
-  int64_t count_ = 0;
-};
-
 /// Whether `kind`'s accumulator state is a pure (count, sum) pair, letting
 /// boundary deltas merge into one entry per timestamp.
 inline bool ScalarAggregate(AggKind kind) {
@@ -79,7 +56,89 @@ inline bool ScalarAggregate(AggKind kind) {
          kind == AggKind::kAvg;
 }
 
-std::unique_ptr<Accumulator> MakeAccumulator(AggKind kind);
+/// \brief Boundary sweep for the scalar aggregates (Count/Sum/Avg): each
+/// event adds a (+1, +v) delta at LE and a (-1, -v) delta at RE, merged into
+/// one entry per timestamp in arrival order; Flush(t) finalizes every snapshot
+/// ending at or before t. AggregateOp runs one sweep and GroupedAggregateOp
+/// one per key, so both perform the same double arithmetic in the same order.
+class ScalarSweep {
+ public:
+  void Add(Timestamp le, Timestamp re, double v) {
+    AddAt(le, +1, v);
+    AddAt(re, -1, -v);
+  }
+
+  /// Applies every boundary <= t; `emit(le, re, value)` receives each
+  /// finished non-empty snapshot in time order.
+  template <class EmitFn>
+  void Flush(Timestamp t, AggKind kind, EmitFn&& emit) {
+    size_t i = head_;
+    const size_t n = pending_.size();
+    for (; i < n && pending_[i].t <= t; ++i) {
+      const Entry& b = pending_[i];
+      if (count_ > 0 && b.t > open_since_) {
+        emit(open_since_, b.t, Current(kind));
+      }
+      count_ += b.dcount;
+      sum_ += b.dsum;
+      open_since_ = b.t;
+    }
+    head_ = i;
+    // Reclaim the flushed prefix once it dominates the buffer.
+    if (head_ == n) {
+      pending_.clear();
+      head_ = 0;
+    } else if (head_ > 64 && head_ * 2 > n) {
+      pending_.erase(pending_.begin(),
+                     pending_.begin() + static_cast<ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+
+  bool active() const { return count_ > 0; }
+  /// Start of the open snapshot (meaningful while active()).
+  Timestamp open_since() const { return open_since_; }
+  /// Earliest unflushed boundary, or kMaxTime when none is pending.
+  Timestamp next_boundary() const {
+    return head_ < pending_.size() ? pending_[head_].t : kMaxTime;
+  }
+
+ private:
+  struct Entry {
+    Timestamp t;
+    int64_t dcount;
+    double dsum;
+  };
+
+  Value Current(AggKind kind) const {
+    switch (kind) {
+      case AggKind::kCount: return Value(count_);
+      case AggKind::kAvg: return Value(sum_ / static_cast<double>(count_));
+      default: return Value(sum_);
+    }
+  }
+
+  void AddAt(Timestamp t, int64_t dcount, double dsum) {
+    // LE arrives non-decreasing and RE trails a window width behind the
+    // stream head, so new boundaries land at or near the back of the pending
+    // range — binary-search there instead of paying a tree node per entry.
+    auto it = std::lower_bound(
+        pending_.begin() + static_cast<ptrdiff_t>(head_), pending_.end(), t,
+        [](const Entry& e, Timestamp ts) { return e.t < ts; });
+    if (it != pending_.end() && it->t == t) {
+      it->dcount += dcount;
+      it->dsum += dsum;
+      return;
+    }
+    pending_.insert(it, Entry{t, dcount, dsum});
+  }
+
+  std::vector<Entry> pending_;  // time-ordered; [0, head_) is flushed
+  size_t head_ = 0;
+  int64_t count_ = 0;
+  double sum_ = 0;
+  Timestamp open_since_ = kMinTime;
+};
 
 }  // namespace internal
 
@@ -92,7 +151,7 @@ class AggregateOp : public UnaryOperator {
   AggregateOp(AggregateSpec spec, int value_index)
       : spec_(spec),
         value_index_(value_index),
-        acc_(internal::MakeAccumulator(spec.kind)) {}
+        scalar_(internal::ScalarAggregate(spec.kind)) {}
 
   void OnEvent(Event event) override {
     CountConsumed();
@@ -105,43 +164,39 @@ class AggregateOp : public UnaryOperator {
 
   void OnCti(Timestamp t) override {
     // Finalize every snapshot [b_i, b_{i+1}) with b_{i+1} <= t.
-    if (internal::ScalarAggregate(spec_.kind)) {
-      size_t i = nb_head_;
-      const size_t n = num_boundaries_.size();
-      while (i < n && num_boundaries_[i].t <= t) {
-        const NumBound& nb = num_boundaries_[i];
-        FlushOpenSnapshot(nb.t);
-        acc_->ApplyDelta(nb.d.dcount, nb.d.dsum);
-        open_since_ = nb.t;
-        ++i;
-      }
-      nb_head_ = i;
-      // Reclaim the flushed prefix once it dominates the buffer.
-      if (nb_head_ > 64 && nb_head_ * 2 > num_boundaries_.size()) {
-        num_boundaries_.erase(num_boundaries_.begin(),
-                              num_boundaries_.begin() +
-                                  static_cast<ptrdiff_t>(nb_head_));
-        nb_head_ = 0;
-      }
+    bool active;
+    Timestamp open_since;
+    if (scalar_) {
+      sweep_.Flush(t, spec_.kind, [this](Timestamp le, Timestamp re, Value v) {
+        Emit(Event(le, re, Row{std::move(v)}));
+      });
+      active = sweep_.active();
+      open_since = sweep_.open_since();
     } else {
       while (!boundaries_.empty() && boundaries_.begin()->first <= t) {
         const Timestamp b = boundaries_.begin()->first;
-        FlushOpenSnapshot(b);
+        if (!active_.empty() && b > open_since_) {
+          const double v = spec_.kind == AggKind::kMin ? *active_.begin()
+                                                       : *active_.rbegin();
+          Emit(Event(open_since_, b, Row{Value(v)}));
+        }
         for (const Delta& d : boundaries_.begin()->second) {
           if (d.sign > 0) {
-            acc_->Add(d.value);
+            active_.insert(d.value);
           } else {
-            acc_->Remove(d.value);
+            active_.erase(active_.find(d.value));
           }
         }
         boundaries_.erase(boundaries_.begin());
         open_since_ = b;
       }
+      active = !active_.empty();
+      open_since = open_since_;
     }
     flushed_to_ = t;
     // Future output LEs are at least the start of the still-open snapshot (if
     // any events are active) or t (if none are).
-    EmitCti(acc_->count() > 0 ? open_since_ : t);
+    EmitCti(active ? open_since : t);
   }
 
   void OnBatch(EventBatch&& batch) override {
@@ -193,58 +248,23 @@ class AggregateOp : public UnaryOperator {
     double value;
     int sign;
   };
-  /// Net boundary change for scalar aggregates: one entry per timestamp,
-  /// merged in stream arrival order (deterministic for any batching).
-  struct NumDelta {
-    int64_t dcount = 0;
-    double dsum = 0;
-  };
 
   void AddBoundaries(Timestamp le, Timestamp re, double v) {
-    if (internal::ScalarAggregate(spec_.kind)) {
-      AddNumBoundary(le, +1, v);
-      AddNumBoundary(re, -1, -v);
+    if (scalar_) {
+      sweep_.Add(le, re, v);
     } else {
       boundaries_[le].push_back({v, +1});
       boundaries_[re].push_back({v, -1});
     }
   }
 
-  void AddNumBoundary(Timestamp t, int64_t dcount, double dsum) {
-    // LE arrives non-decreasing and RE trails a window width behind the
-    // stream head, so new boundaries land at or near the back of the pending
-    // range — binary-search there instead of paying a tree node per entry.
-    auto first = num_boundaries_.begin() + static_cast<ptrdiff_t>(nb_head_);
-    auto it = std::lower_bound(
-        first, num_boundaries_.end(), t,
-        [](const NumBound& nb, Timestamp ts) { return nb.t < ts; });
-    if (it != num_boundaries_.end() && it->t == t) {
-      it->d.dcount += dcount;
-      it->d.dsum += dsum;
-      return;
-    }
-    num_boundaries_.insert(it, NumBound{t, {dcount, dsum}});
-  }
-
-  void FlushOpenSnapshot(Timestamp upto) {
-    if (acc_->count() > 0 && upto > open_since_) {
-      Emit(Event(open_since_, upto, Row{acc_->Current()}));
-    }
-  }
-
   AggregateSpec spec_;
   int value_index_;
-  std::unique_ptr<internal::Accumulator> acc_;
-  struct NumBound {
-    Timestamp t;
-    NumDelta d;
-  };
-
+  bool scalar_;                                          // kind runs on sweep_
+  internal::ScalarSweep sweep_;                          // Count/Sum/Avg
   std::map<Timestamp, std::vector<Delta>> boundaries_;  // Min/Max
-  /// Count/Sum/Avg: time-ordered flat deltas; [0, nb_head_) is flushed.
-  std::vector<NumBound> num_boundaries_;
-  size_t nb_head_ = 0;
-  Timestamp open_since_ = kMinTime;
+  std::multiset<double> active_;     // Min/Max: values of the active events
+  Timestamp open_since_ = kMinTime;  // Min/Max
   Timestamp flushed_to_ = kMinTime;
 };
 

@@ -125,6 +125,34 @@ ColumnarIngestDecisions PlanColumnarIngest(const PlanNodePtr& root) {
   return ColumnarIngestPlanner(root.get()).Run();
 }
 
+std::optional<GroupedAggregateShape> MatchGroupedAggregate(
+    const PlanNode& group_apply) {
+  if (group_apply.kind != OpKind::kGroupApply || !group_apply.subplan) {
+    return std::nullopt;
+  }
+  // Walk the chain from the sub-plan root down to its input leaf.
+  GroupedAggregateShape shape;
+  const PlanNode* n = group_apply.subplan.get();
+  auto next = [&n]() {
+    n = n->children.size() == 1 ? n->children[0].get() : nullptr;
+  };
+  for (; n != nullptr && n->kind == OpKind::kSelect; next()) {
+    shape.tail.insert(shape.tail.begin(), n);
+  }
+  if (n == nullptr || n->kind != OpKind::kAggregate ||
+      !internal::ScalarAggregate(n->agg.kind)) {
+    return std::nullopt;
+  }
+  shape.aggregate = n;
+  for (next(); n != nullptr && (n->kind == OpKind::kSelect ||
+                                n->kind == OpKind::kAlterLifetime);
+       next()) {
+    shape.head.insert(shape.head.begin(), n);
+  }
+  if (n == nullptr || n->kind != OpKind::kSubplanInput) return std::nullopt;
+  return shape;
+}
+
 /// Source operator: accepts pushed events, enforces per-source ordering.
 class Executor::InputNode : public UnaryOperator {
  public:
@@ -376,6 +404,26 @@ class NetworkBuilder {
         TIMR_ASSIGN_OR_RETURN(Schema in, node->children[0]->OutputSchema());
         TIMR_ASSIGN_OR_RETURN(std::vector<int> key_idx,
                               in.IndicesOf(node->group_keys));
+        if (auto shape = MatchGroupedAggregate(*node)) {
+          std::vector<FusedStatelessOp::Step> head;
+          for (const PlanNode* n : shape->head) {
+            head.push_back(n->kind == OpKind::kSelect
+                               ? FusedStatelessOp::Step::Select(n->pred,
+                                                                n->select_spec)
+                               : FusedStatelessOp::Step::Alter(n->alter));
+          }
+          const AggregateSpec& agg = shape->aggregate->agg;
+          int value_index = -1;
+          if (agg.kind != AggKind::kCount) {
+            TIMR_ASSIGN_OR_RETURN(value_index, in.IndexOf(agg.value_column));
+          }
+          std::vector<Predicate> tail;
+          for (const PlanNode* n : shape->tail) tail.push_back(n->pred);
+          TIMR_RETURN_NOT_OK(node->subplan->OutputSchema().status());
+          return Register(std::make_shared<GroupedAggregateOp>(
+              std::move(key_idx), std::move(head), agg.kind, value_index,
+              std::move(tail)));
+        }
         PlanNodePtr sub = node->subplan;
         SubPlanFactory factory = [sub](EventSink* output) {
           std::vector<std::shared_ptr<Operator>> ops;

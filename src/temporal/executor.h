@@ -7,6 +7,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -42,6 +43,22 @@ struct ColumnarIngestDecisions {
 /// edges. Group sub-plans are not entered: their networks are built per group
 /// instance and have no kInput sources of their own.
 ColumnarIngestDecisions PlanColumnarIngest(const PlanNodePtr& root);
+
+/// \brief A GroupApply sub-plan that runs as one GroupedAggregateOp
+/// (group_apply.h) instead of one operator network per group: the chain
+/// SubplanInput → (Select | AlterLifetime)* → Aggregate{Count, Sum, Avg} →
+/// Select*. Nodes are listed upstream first.
+struct GroupedAggregateShape {
+  std::vector<const PlanNode*> head;  // Select / AlterLifetime
+  const PlanNode* aggregate = nullptr;
+  std::vector<const PlanNode*> tail;  // Select
+};
+
+/// The one place that decides the lowering: the shape of `group_apply`'s
+/// sub-plan, or nullopt when it keeps the per-group GroupApplyOp (unions,
+/// joins, UDOs, Min/Max, a Project, nested GroupApply, ...).
+std::optional<GroupedAggregateShape> MatchGroupedAggregate(
+    const PlanNode& group_apply);
 
 /// \brief A running instance of a CQ plan.
 ///

@@ -197,6 +197,8 @@ Result<std::pair<Timestamp, Timestamp>> ScanTimeRange(
   for (const mr::Dataset* d : datasets) {
     for (size_t p = 0; p < d->num_partitions(); ++p) {
       for (const Row& r : d->partition(p)) {
+        // A malformed Time cell is the stage's to quarantine or reject.
+        if (r.empty() || !r[0].is_int64()) continue;
         const Timestamp t = r[0].AsInt64();
         lo = std::min(lo, t);
         hi = std::max(hi, t);

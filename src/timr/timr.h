@@ -135,6 +135,8 @@ struct TimrRunResult {
 
 /// Min/max Time over the datasets' rows ({0, 0} when all are empty) — the
 /// span domain CompileFragment needs for temporally-partitioned fragments.
+/// Rows without an int64 Time cell are skipped; the stage's map phase then
+/// quarantines or rejects them.
 Result<std::pair<temporal::Timestamp, temporal::Timestamp>> ScanTimeRange(
     const std::vector<const mr::Dataset*>& datasets);
 

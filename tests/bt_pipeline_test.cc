@@ -183,6 +183,35 @@ TEST(BtPipeline, TimrMatchesSingleNode) {
                                    dist.ValueOrDie().output));
 }
 
+// The GroupApply lowering on the shipped pipeline: the per-(user, keyword)
+// UBP count and the four FeatureScores counts and sums run as grouped
+// aggregate operators; BotStream's Union sub-plan keeps one operator network
+// per group, and so does any Min/Max sub-plan.
+TEST(BtPipeline, GroupApplyLoweringCoversUbpAndFeatureCounts) {
+  const auto plan =
+      BtFeaturePipeline(SmallBtConfig(), Annotation::kStandard).node();
+  int lowered = 0;
+  int per_group = 0;
+  for (const temporal::PlanNode* n : temporal::CollectNodes(plan)) {
+    if (n->kind != temporal::OpKind::kGroupApply) continue;
+    if (temporal::MatchGroupedAggregate(*n).has_value()) {
+      ++lowered;
+      continue;
+    }
+    ++per_group;
+    EXPECT_EQ(n->group_keys, std::vector<std::string>{kColUserId});
+    EXPECT_EQ(n->subplan->kind, temporal::OpKind::kUnion);  // BotStream
+  }
+  EXPECT_EQ(lowered, 5);
+  EXPECT_EQ(per_group, 1);
+
+  const Query minmax = BtInput().GroupApply({kColUserId}, [](Query g) {
+    return g.Window(temporal::kHour)
+        .Aggregate(temporal::AggregateSpec::Max(kColKwAdId, "m"));
+  });
+  EXPECT_FALSE(temporal::MatchGroupedAggregate(*minmax.node()).has_value());
+}
+
 TEST(BtPipeline, CustomReducersMatchTemporalQueries) {
   const auto& log = SharedLog();
   BtQueryConfig cfg = SmallBtConfig();

@@ -495,6 +495,131 @@ std::vector<BatchCase> BatchCases() {
 INSTANTIATE_TEST_SUITE_P(Sweep, BatchEquivalence,
                          ::testing::ValuesIn(BatchCases()));
 
+// ---------- GroupApply lowering vs per-group networks ----------
+//
+// A GroupApply over a scalar aggregate runs as one GroupedAggregateOp; any
+// other sub-plan keeps one operator network per group (GroupApplyOp). An
+// identity Project at the head of the sub-plan is outside the lowered shape,
+// so it forces the per-group path on the same query. The two must agree bit
+// for bit — event order and Sum/Avg rounding included — and count the same
+// engine events, at every batch size and CTI spacing.
+
+struct LoweringCase {
+  AggKind kind;
+  const char* head;  // "window", "hop", "shift_window", "select_window"
+  bool tail;         // a WhereCmp on the aggregate output
+  bool string_key;   // group by {K, S} instead of {K}
+};
+
+void PrintTo(const LoweringCase& c, std::ostream* os) {
+  const char* kind = c.kind == AggKind::kCount ? "count"
+                     : c.kind == AggKind::kSum ? "sum"
+                                               : "avg";
+  *os << kind << "_" << c.head << (c.tail ? "_tail" : "")
+      << (c.string_key ? "_strkey" : "");
+}
+
+class GroupedAggregateLowering
+    : public ::testing::TestWithParam<LoweringCase> {
+ protected:
+  static Schema KSV() {
+    return Schema::Of({{"K", ValueType::kInt64},
+                       {"S", ValueType::kString},
+                       {"V", ValueType::kDouble}});
+  }
+
+  static std::vector<Event> Inputs() {
+    Rng rng(2026);
+    std::vector<Event> events;
+    for (int i = 0; i < 400; ++i) {
+      // Fractional values make Sum/Avg rounding depend on delta merge order.
+      events.push_back(Event::Point(
+          rng.UniformInt(0, 300),
+          {Value(rng.UniformInt(0, 5)), Value(rng.UniformInt(0, 1) ? "a" : "b"),
+           Value(static_cast<double>(rng.UniformInt(0, 1000)) / 7.0)}));
+    }
+    std::stable_sort(
+        events.begin(), events.end(),
+        [](const Event& a, const Event& b) { return a.le < b.le; });
+    return events;
+  }
+
+  static Query MakePlan(const LoweringCase& c, bool per_group) {
+    std::vector<std::string> keys = {"K"};
+    if (c.string_key) keys.push_back("S");
+    return Query::Input("S", KSV()).GroupApply(keys, [&](Query g) {
+      if (per_group) g = g.SelectColumns({"K", "S", "V"});
+      const std::string head = c.head;
+      if (head == "window") g = g.Window(23);
+      if (head == "hop") g = g.HoppingWindow(40, 10);
+      if (head == "shift_window") g = g.AlterLifetime(
+          AlterLifetimeSpec::ShiftAndWindow(-5, 30));
+      if (head == "select_window") {
+        g = g.WhereCmp("V", CmpOp::kGt, Value(30.0)).Window(23);
+      }
+      AggregateSpec spec;
+      spec.kind = c.kind;
+      spec.value_column = "V";
+      spec.output_name = "agg";
+      g = g.Aggregate(spec);
+      if (c.tail) {
+        g = g.WhereCmp("agg", CmpOp::kGt,
+                       c.kind == AggKind::kCount ? Value(int64_t{1})
+                                                 : Value(40.0));
+      }
+      return g;
+    });
+  }
+};
+
+TEST_P(GroupedAggregateLowering, MatchesPerGroupBitForBit) {
+  const LoweringCase& c = GetParam();
+  const PlanNodePtr lowered = MakePlan(c, /*per_group=*/false).node();
+  const PlanNodePtr per_group = MakePlan(c, /*per_group=*/true).node();
+  ASSERT_TRUE(MatchGroupedAggregate(*lowered).has_value());
+  ASSERT_FALSE(MatchGroupedAggregate(*per_group).has_value());
+
+  const std::vector<Event> inputs = Inputs();
+  for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+    for (size_t thinning : {size_t{1}, size_t{16}}) {
+      const std::string what = "batch_size=" + std::to_string(batch_size) +
+                               " cti_thinning=" + std::to_string(thinning);
+      std::vector<Event> out[2];
+      uint64_t consumed[2];
+      for (int i = 0; i < 2; ++i) {
+        auto exec = Executor::Create(i == 0 ? lowered : per_group).ValueOrDie();
+        exec->set_batch_size(batch_size);
+        exec->set_cti_thinning(thinning);
+        auto got = exec->RunBatch({{"S", inputs}});
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        out[i] = std::move(got).ValueOrDie();
+        consumed[i] = exec->TotalEventsConsumed();
+      }
+      EXPECT_FALSE(out[0].empty()) << what;
+      ExpectBitIdentical(out[1], out[0], what);
+      EXPECT_EQ(consumed[1], consumed[0]) << what;
+    }
+  }
+}
+
+std::vector<LoweringCase> LoweringCases() {
+  std::vector<LoweringCase> cases;
+  for (AggKind kind : {AggKind::kCount, AggKind::kSum, AggKind::kAvg}) {
+    for (const char* head :
+         {"window", "hop", "shift_window", "select_window"}) {
+      for (bool tail : {false, true}) {
+        for (bool string_key : {false, true}) {
+          cases.push_back({kind, head, tail, string_key});
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, GroupedAggregateLowering,
+                         ::testing::ValuesIn(LoweringCases()));
+
 // ---------- ConformanceCheckOp: batched == per-event on violating input ----------
 
 TEST(ConformanceBatch, BatchedVerdictsMatchPerEventOnBadStream) {

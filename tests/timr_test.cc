@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "mr/cluster.h"
+#include "temporal/convert.h"
 #include "temporal/executor.h"
 #include "temporal/query.h"
 #include "timr/timr.h"
@@ -172,6 +173,52 @@ TEST(TimrExec, ThrowingUdoBecomesStatusNotAbort) {
   EXPECT_NE(msg.find("frag_0"), std::string::npos) << msg;
   EXPECT_NE(msg.find("after 3 attempts"), std::string::npos) << msg;
   EXPECT_NE(msg.find("reducer threw: udo boom"), std::string::npos) << msg;
+}
+
+// One row whose Time cell is not int64, in a source that feeds a temporally
+// partitioned fragment: the span scan before the stage must skip it, so the
+// stage quarantines the row or fails with a Status instead of throwing.
+std::map<std::string, mr::Dataset> StoreWithBadTimeCell() {
+  auto rows = temporal::RowsFromEvents(MakeClicks(300, 20000, 5, /*seed=*/17),
+                                       /*interval_layout=*/false)
+                  .ValueOrDie();
+  rows.push_back({Value("not-a-time"), Value(int64_t{1}), Value(int64_t{1})});
+  std::map<std::string, mr::Dataset> store;
+  store["ClickLog"] = mr::Dataset::FromRows(
+      temporal::PointRowSchema(ClickSchema()), std::move(rows));
+  return store;
+}
+
+Query TimeSpannedClickCount() {
+  return Query::Input("ClickLog", ClickSchema())
+      .Exchange(PartitionSpec::ByTime(/*span_width=*/1000, /*overlap=*/100))
+      .Window(100)
+      .Count();
+}
+
+TEST(TimrExec, BadTimeCellIsQuarantinedUnderTemporalExchange) {
+  auto store = StoreWithBadTimeCell();
+  TimrOptions options;
+  options.fault_tolerance.quarantine_inputs = true;
+  options.fault_tolerance.max_input_error_rate = 0.5;
+  mr::LocalCluster cluster(4, 2);
+  auto run = RunPlan(&cluster, TimeSpannedClickCount().node(), &store, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_EQ(run.ValueOrDie().job_stats.stages.size(), 1u);
+  EXPECT_EQ(run.ValueOrDie().job_stats.stages[0].quarantined_rows, 1u);
+  EXPECT_GT(run.ValueOrDie().output.size(), 0u);
+}
+
+TEST(TimrExec, BadTimeCellWithoutQuarantineIsStatus) {
+  auto store = StoreWithBadTimeCell();
+  mr::LocalCluster cluster(4, 2);
+  auto run = RunPlan(&cluster, TimeSpannedClickCount().node(), &store,
+                     TimrOptions());
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kExecutionError)
+      << run.status().ToString();
+  EXPECT_NE(run.status().message().find("map phase threw"), std::string::npos)
+      << run.status().ToString();
 }
 
 // Multi-stage plan: per-(user,ad) counts, then a per-ad aggregate over those —
