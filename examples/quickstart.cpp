@@ -67,10 +67,10 @@ int main() {
   std::printf("\nTiMR on %d machines: %zu events across %d partitions\n",
               cluster.num_machines(), dist.ValueOrDie().output.size(),
               dist.ValueOrDie().job_stats.stages[0].partitions);
+  const bool identical = T::SameTemporalRelation(single.ValueOrDie(),
+                                                 dist.ValueOrDie().output);
   std::printf("outputs identical to single-node: %s\n",
-              T::SameTemporalRelation(single.ValueOrDie(),
-                                      dist.ValueOrDie().output)
-                  ? "yes"
-                  : "NO (bug!)");
+              identical ? "yes" : "NO (bug!)");
+  TIMR_CHECK(identical);
   return 0;
 }

@@ -1,189 +1,108 @@
 #include "mr/checkpoint.h"
 
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <iterator>
+#include <string_view>
+
+#include "common/hash.h"
+#include "mr/rpc.h"
 
 namespace timr::mr {
 
 namespace {
 
-constexpr char kMagic[8] = {'T', 'I', 'M', 'R', 'C', 'K', 'P', '1'};
+namespace fs = std::filesystem;
+using rpc::MsgType;
+
 constexpr char kManifestName[] = "manifest";
-constexpr char kManifestHeader[] = "timr-checkpoint-manifest v1";
 
-void WriteU64(std::ostream& os, uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+void AppendFrame(MsgType type, const std::string& payload, std::string* out) {
+  std::string frame;
+  rpc::EncodeFrame(type, payload, &frame);
+  out->append(frame);
 }
 
-void WriteU8(std::ostream& os, uint8_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool ReadU64(std::istream& is, uint64_t* v) {
-  is.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return bool(is);
-}
-
-bool ReadU8(std::istream& is, uint8_t* v) {
-  is.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return bool(is);
-}
-
-void WriteString(std::ostream& os, const std::string& s) {
-  WriteU64(os, s.size());
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-bool ReadString(std::istream& is, std::string* s) {
-  uint64_t n = 0;
-  if (!ReadU64(is, &n)) return false;
-  // Guard against a corrupt length field allocating the address space.
-  if (n > (1ull << 32)) return false;
-  s->resize(n);
-  is.read(s->data(), static_cast<std::streamsize>(n));
-  return bool(is);
-}
-
-void WriteValue(std::ostream& os, const Value& v) {
-  WriteU8(os, static_cast<uint8_t>(v.type()));
-  switch (v.type()) {
-    case ValueType::kInt64: {
-      const int64_t x = v.AsInt64();
-      os.write(reinterpret_cast<const char*>(&x), sizeof(x));
-      break;
-    }
-    case ValueType::kDouble: {
-      const double x = v.AsDouble();
-      os.write(reinterpret_cast<const char*>(&x), sizeof(x));
-      break;
-    }
-    case ValueType::kString:
-      WriteString(os, v.AsString());
-      break;
+/// Decode the `type` frame at the start of `*bytes` and step past it. A
+/// truncated, corrupt, or mistyped frame is an error.
+Result<std::string> NextFrame(std::string_view* bytes, MsgType type) {
+  rpc::DecodeResult r = rpc::DecodeFrame(*bytes);
+  TIMR_RETURN_NOT_OK(r.status);
+  if (r.needs_more) return Status::IOError("checkpoint: truncated frame");
+  if (r.frame.type != type) {
+    return Status::IOError("checkpoint: unexpected frame type");
   }
+  bytes->remove_prefix(r.consumed);
+  return std::move(r.frame.payload);
 }
 
-bool ReadValue(std::istream& is, Value* out) {
-  uint8_t tag = 0;
-  if (!ReadU8(is, &tag)) return false;
-  switch (static_cast<ValueType>(tag)) {
-    case ValueType::kInt64: {
-      int64_t x = 0;
-      is.read(reinterpret_cast<char*>(&x), sizeof(x));
-      if (!is) return false;
-      *out = Value(x);
-      return true;
-    }
-    case ValueType::kDouble: {
-      double x = 0;
-      is.read(reinterpret_cast<char*>(&x), sizeof(x));
-      if (!is) return false;
-      *out = Value(x);
-      return true;
-    }
-    case ValueType::kString: {
-      std::string s;
-      if (!ReadString(is, &s)) return false;
-      *out = Value(std::move(s));
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-Status WriteDatasetFile(const std::string& path, const Dataset& dataset) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) return Status::IOError("checkpoint: cannot open " + path);
-  os.write(kMagic, sizeof(kMagic));
-  WriteU64(os, dataset.schema().num_fields());
-  for (const auto& f : dataset.schema().fields()) {
-    WriteString(os, f.name);
-    WriteU8(os, static_cast<uint8_t>(f.type));
-  }
-  WriteU64(os, dataset.num_partitions());
+std::string EncodeDataset(const Dataset& dataset) {
+  rpc::WireWriter header;
+  header.WriteSchema(dataset.schema());
+  header.U64(dataset.num_partitions());
+  std::string out;
+  AppendFrame(MsgType::kDatasetHeader, header.buf(), &out);
   for (size_t p = 0; p < dataset.num_partitions(); ++p) {
-    const std::vector<Row>& rows = dataset.partition(p);
-    WriteU64(os, rows.size());
-    for (const Row& row : rows) {
-      WriteU64(os, row.size());
-      for (const Value& v : row) WriteValue(os, v);
-    }
+    rpc::WireWriter block;
+    block.Rows(dataset.partition(p));
+    AppendFrame(MsgType::kRowBlock, block.buf(), &out);
   }
+  return out;
+}
+
+Result<Dataset> DecodeDataset(std::string_view bytes) {
+  TIMR_ASSIGN_OR_RETURN(const std::string header,
+                        NextFrame(&bytes, MsgType::kDatasetHeader));
+  rpc::WireReader hr(header);
+  Schema schema;
+  uint64_t nparts = 0;
+  hr.ReadSchema(&schema);
+  hr.U64(&nparts);
+  TIMR_RETURN_NOT_OK(hr.Finish("dataset header"));
+  // Each partition is at least one frame header, so the bytes present bound
+  // the count before anything is allocated for it.
+  if (nparts > bytes.size() / rpc::kFrameHeaderBytes) {
+    return Status::IOError("checkpoint: partition count exceeds file");
+  }
+  Dataset dataset(std::move(schema), nparts);
+  for (uint64_t p = 0; p < nparts; ++p) {
+    TIMR_ASSIGN_OR_RETURN(const std::string block,
+                          NextFrame(&bytes, MsgType::kRowBlock));
+    rpc::WireReader rr(block);
+    rr.Rows(&dataset.partition(p));
+    TIMR_RETURN_NOT_OK(rr.Finish("row block"));
+  }
+  if (!bytes.empty()) return Status::IOError("checkpoint: trailing bytes");
+  return dataset;
+}
+
+Result<std::string> ReadFileBytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) return Status::IOError("checkpoint: cannot open " + path);
+  return std::string(std::istreambuf_iterator<char>(is), {});
+}
+
+Status WriteFileBytes(const std::string& path, std::string_view bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   os.flush();
   if (!os) return Status::IOError("checkpoint: write failed for " + path);
   return Status::OK();
 }
 
-Result<Dataset> ReadDatasetFile(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return Status::IOError("checkpoint: cannot open " + path);
-  char magic[sizeof(kMagic)];
-  is.read(magic, sizeof(magic));
-  if (!is || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::IOError("checkpoint: bad magic in " + path);
-  }
-  uint64_t nfields = 0;
-  if (!ReadU64(is, &nfields) || nfields > (1ull << 20)) {
-    return Status::IOError("checkpoint: corrupt schema in " + path);
-  }
-  std::vector<Schema::Field> fields;
-  fields.reserve(nfields);
-  for (uint64_t i = 0; i < nfields; ++i) {
-    Schema::Field f;
-    uint8_t type = 0;
-    if (!ReadString(is, &f.name) || !ReadU8(is, &type) || type > 2) {
-      return Status::IOError("checkpoint: corrupt schema in " + path);
-    }
-    f.type = static_cast<ValueType>(type);
-    fields.push_back(std::move(f));
-  }
-  uint64_t nparts = 0;
-  if (!ReadU64(is, &nparts) || nparts > (1ull << 24)) {
-    return Status::IOError("checkpoint: corrupt partition count in " + path);
-  }
-  Dataset dataset(Schema(std::move(fields)), nparts);
-  for (uint64_t p = 0; p < nparts; ++p) {
-    uint64_t nrows = 0;
-    if (!ReadU64(is, &nrows)) {
-      return Status::IOError("checkpoint: truncated file " + path);
-    }
-    std::vector<Row>& rows = dataset.partition(p);
-    rows.reserve(nrows);
-    for (uint64_t r = 0; r < nrows; ++r) {
-      uint64_t ncells = 0;
-      if (!ReadU64(is, &ncells) || ncells > (1ull << 20)) {
-        return Status::IOError("checkpoint: truncated file " + path);
-      }
-      Row row;
-      row.reserve(ncells);
-      for (uint64_t c = 0; c < ncells; ++c) {
-        Value v;
-        if (!ReadValue(is, &v)) {
-          return Status::IOError("checkpoint: truncated file " + path);
-        }
-        row.push_back(std::move(v));
-      }
-      rows.push_back(std::move(row));
-    }
-  }
-  return dataset;
-}
+}  // namespace
 
 CheckpointStore::CheckpointStore(std::string spill_dir)
     : dir_(std::move(spill_dir)) {
   std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
+  fs::create_directories(dir_, ec);
   if (ec) {
     load_status_ =
         Status::IOError("checkpoint: cannot create " + dir_ + ": " + ec.message());
     return;
   }
-  if (std::filesystem::exists(std::filesystem::path(dir_) / kManifestName)) {
-    load_status_ = LoadManifest();
+  if (fs::exists(fs::path(dir_) / kManifestName)) {
+    manifest_corrupt_ = !LoadManifest();
   }
 }
 
@@ -203,28 +122,57 @@ Status CheckpointStore::SaveStage(
   rec.released = std::move(released);
   for (size_t j = 0; j < outputs.size(); ++j) {
     const auto& [name, dataset] = outputs[j];
+    Output out;
+    out.name = name;
     if (dir_.empty()) {
-      rec.outputs.emplace_back(name, *dataset);  // deep snapshot
+      out.data = *dataset;  // deep snapshot
     } else {
-      if (name.find_first_of("\t\n") != std::string::npos) {
-        return Status::Invalid("checkpoint: dataset name not spillable: " + name);
-      }
-      const std::string file =
+      out.file =
           "stage" + std::to_string(index) + "_out" + std::to_string(j) + ".ds";
-      TIMR_RETURN_NOT_OK(WriteDatasetFile(
-          (std::filesystem::path(dir_) / file).string(), *dataset));
-      rec.spilled.emplace_back(name, file);
+      out.rows = dataset->TotalRows();
+      const std::string bytes = EncodeDataset(*dataset);
+      out.hash = HashBytes(bytes.data(), bytes.size());
+      TIMR_RETURN_NOT_OK(
+          WriteFileBytes((fs::path(dir_) / out.file).string(), bytes));
     }
+    rec.outputs.push_back(std::move(out));
   }
   records_.push_back(std::move(rec));
   if (!dir_.empty()) return WriteManifest();
   return Status::OK();
 }
 
+Status CheckpointStore::LoadOutputs(
+    const Record& rec,
+    std::vector<std::pair<std::string, Dataset>>* out) const {
+  for (const Output& o : rec.outputs) {
+    if (dir_.empty()) {
+      out->emplace_back(o.name, o.data);  // copy; the record stays reusable
+      continue;
+    }
+    const std::string path = (fs::path(dir_) / o.file).string();
+    TIMR_ASSIGN_OR_RETURN(const std::string bytes, ReadFileBytes(path));
+    if (HashBytes(bytes.data(), bytes.size()) != o.hash) {
+      return Status::IOError("checkpoint: hash mismatch in " + path);
+    }
+    TIMR_ASSIGN_OR_RETURN(Dataset dataset, DecodeDataset(bytes));
+    if (dataset.TotalRows() != o.rows) {
+      return Status::IOError("checkpoint: row count of " + path +
+                             " disagrees with the manifest");
+    }
+    out->emplace_back(o.name, std::move(dataset));
+  }
+  return Status::OK();
+}
+
 Result<size_t> CheckpointStore::Restore(
     const std::vector<std::string>& stage_names,
-    std::map<std::string, Dataset>* store) const {
+    std::map<std::string, Dataset>* store) {
   TIMR_RETURN_NOT_OK(load_status_);
+  if (manifest_corrupt_) {  // it was loaded as zero stages
+    manifest_corrupt_ = false;
+    ++corruptions_;
+  }
   if (records_.size() > stage_names.size()) {
     return Status::Invalid("checkpoint: holds " +
                            std::to_string(records_.size()) +
@@ -241,16 +189,17 @@ Result<size_t> CheckpointStore::Restore(
   }
   // Replay in order: outputs inserted, consumed inputs re-released. This
   // reproduces the exact store state after the last checkpointed stage.
-  for (const Record& rec : records_) {
-    for (const auto& [name, dataset] : rec.outputs) {
-      (*store)[name] = dataset;  // copy; the record stays reusable
+  for (size_t i = 0; i < records_.size(); ++i) {
+    std::vector<std::pair<std::string, Dataset>> loaded;
+    if (!LoadOutputs(records_[i], &loaded).ok()) {
+      // Demote this stage and every later one to "not checkpointed": the job
+      // re-runs them, and their next SaveStage rewrites files and manifest.
+      records_.resize(i);
+      ++corruptions_;
+      return i;
     }
-    for (const auto& [name, file] : rec.spilled) {
-      TIMR_ASSIGN_OR_RETURN(
-          (*store)[name],
-          ReadDatasetFile((std::filesystem::path(dir_) / file).string()));
-    }
-    for (const std::string& name : rec.released) {
+    for (auto& [name, dataset] : loaded) (*store)[name] = std::move(dataset);
+    for (const std::string& name : records_[i].released) {
       auto it = store->find(name);
       if (it == store->end()) {
         return Status::KeyError(
@@ -266,78 +215,67 @@ Result<size_t> CheckpointStore::Restore(
 }
 
 Status CheckpointStore::WriteManifest() const {
-  const auto tmp = std::filesystem::path(dir_) / (std::string(kManifestName) + ".tmp");
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    if (!os) return Status::IOError("checkpoint: cannot write manifest");
-    os << kManifestHeader << "\n";
-    for (size_t i = 0; i < records_.size(); ++i) {
-      const Record& rec = records_[i];
-      os << "stage\t" << i << "\t" << rec.stage_name << "\t"
-         << rec.primary_rows << "\n";
-      for (const auto& [name, file] : rec.spilled) {
-        os << "output\t" << name << "\t" << file << "\n";
-      }
-      for (const std::string& name : rec.released) {
-        os << "released\t" << name << "\n";
-      }
-      os << "end\n";
+  rpc::WireWriter w;
+  w.U64(records_.size());
+  for (const Record& rec : records_) {
+    w.Str(rec.stage_name);
+    w.U64(rec.primary_rows);
+    w.U64(rec.released.size());
+    for (const std::string& name : rec.released) w.Str(name);
+    w.U64(rec.outputs.size());
+    for (const Output& o : rec.outputs) {
+      w.Str(o.name);
+      w.Str(o.file);
+      w.U64(o.rows);
+      w.U64(o.hash);
     }
-    os.flush();
-    if (!os) return Status::IOError("checkpoint: manifest write failed");
   }
+  std::string bytes;
+  rpc::EncodeFrame(MsgType::kManifest, w.buf(), &bytes);
+  const fs::path tmp = fs::path(dir_) / (std::string(kManifestName) + ".tmp");
+  TIMR_RETURN_NOT_OK(WriteFileBytes(tmp.string(), bytes));
   // Atomic publish: a crash mid-checkpoint leaves the previous manifest.
   std::error_code ec;
-  std::filesystem::rename(tmp, std::filesystem::path(dir_) / kManifestName, ec);
+  fs::rename(tmp, fs::path(dir_) / kManifestName, ec);
   if (ec) return Status::IOError("checkpoint: manifest rename: " + ec.message());
   return Status::OK();
 }
 
-Status CheckpointStore::LoadManifest() {
-  std::ifstream is(std::filesystem::path(dir_) / kManifestName);
-  if (!is) return Status::IOError("checkpoint: cannot read manifest in " + dir_);
-  std::string line;
-  if (!std::getline(is, line) || line != kManifestHeader) {
-    return Status::IOError("checkpoint: bad manifest header in " + dir_);
-  }
-  records_.clear();
-  Record rec;
-  bool open = false;
-  auto split = [](const std::string& s) {
-    std::vector<std::string> parts;
-    size_t start = 0;
-    while (true) {
-      size_t tab = s.find('\t', start);
-      if (tab == std::string::npos) {
-        parts.push_back(s.substr(start));
-        return parts;
-      }
-      parts.push_back(s.substr(start, tab - start));
-      start = tab + 1;
+bool CheckpointStore::LoadManifest() {
+  auto bytes = ReadFileBytes((fs::path(dir_) / kManifestName).string());
+  if (!bytes.ok()) return false;
+  std::string_view rest = bytes.ValueOrDie();
+  auto payload = NextFrame(&rest, MsgType::kManifest);
+  if (!payload.ok() || !rest.empty()) return false;
+  // Every count below is bounded by the payload: each item reads at least
+  // one u64, and a reader that runs dry stays failed.
+  rpc::WireReader r(payload.ValueOrDie());
+  std::vector<Record> records;
+  uint64_t nstages = 0;
+  r.U64(&nstages);
+  for (uint64_t i = 0; i < nstages && r.ok(); ++i) {
+    Record& rec = records.emplace_back();
+    uint64_t primary_rows = 0;
+    uint64_t n = 0;
+    r.Str(&rec.stage_name);
+    r.U64(&primary_rows);
+    rec.primary_rows = primary_rows;
+    r.U64(&n);
+    for (uint64_t j = 0; j < n && r.ok(); ++j) {
+      r.Str(&rec.released.emplace_back());
     }
-  };
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    const std::vector<std::string> parts = split(line);
-    if (parts[0] == "stage" && parts.size() == 4) {
-      if (open) return Status::IOError("checkpoint: malformed manifest");
-      rec = Record{};
-      rec.stage_name = parts[2];
-      rec.primary_rows = static_cast<size_t>(std::stoull(parts[3]));
-      open = true;
-    } else if (parts[0] == "output" && parts.size() == 3 && open) {
-      rec.spilled.emplace_back(parts[1], parts[2]);
-    } else if (parts[0] == "released" && parts.size() == 2 && open) {
-      rec.released.push_back(parts[1]);
-    } else if (parts[0] == "end" && open) {
-      records_.push_back(std::move(rec));
-      open = false;
-    } else {
-      return Status::IOError("checkpoint: malformed manifest line: " + line);
+    r.U64(&n);
+    for (uint64_t j = 0; j < n && r.ok(); ++j) {
+      Output& o = rec.outputs.emplace_back();
+      r.Str(&o.name);
+      r.Str(&o.file);
+      r.U64(&o.rows);
+      r.U64(&o.hash);
     }
   }
-  if (open) return Status::IOError("checkpoint: truncated manifest");
-  return Status::OK();
+  if (!r.Finish("manifest").ok()) return false;
+  records_ = std::move(records);
+  return true;
 }
 
 }  // namespace timr::mr

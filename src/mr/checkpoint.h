@@ -14,10 +14,17 @@
 // Two storage modes:
 //  - in-memory (default): snapshots are deep copies held by this object;
 //    resume requires handing the same CheckpointStore to the next run.
-//  - spill directory: datasets are serialized to files under `spill_dir` with
+//  - spill directory: datasets are written to files under `spill_dir` with
 //    a manifest, and a *fresh* CheckpointStore constructed on that directory
 //    reloads the manifest — surviving actual driver death, not just a
 //    simulated one.
+//
+// Spill files are RPC frames (mr/rpc.h), one hash-checked codec for wire and
+// disk: a dataset file is a kDatasetHeader frame (schema, partition count)
+// plus one kRowBlock frame per partition; the manifest is one kManifest
+// frame holding each stage's name, primary row count and released inputs,
+// and each output's dataset name, file name, row count and whole-file hash.
+// A stage whose files fail verification is re-run, never restored (Restore).
 
 #pragma once
 
@@ -70,34 +77,44 @@ class CheckpointStore {
   /// external inputs): outputs are inserted, released datasets have their
   /// partitions cleared. `stage_names` is the resuming job's stage list; the
   /// records must be a prefix of it or the checkpoint is rejected as
-  /// belonging to a different job. Returns the number of leading stages
-  /// restored (the index the job should resume from).
+  /// belonging to a different job. Each stage's files are verified before
+  /// the store is touched. The first stage whose file is missing, truncated,
+  /// mis-hashed, or disagrees with the manifest (an undecodable manifest
+  /// holds zero stages) is dropped with every later one and counted in
+  /// corruptions(): corruption costs re-execution, never wrong output.
+  /// Returns the number of leading stages restored (the index the job should
+  /// resume from).
   Result<size_t> Restore(const std::vector<std::string>& stage_names,
-                         std::map<std::string, Dataset>* store) const;
+                         std::map<std::string, Dataset>* store);
+
+  /// Checkpoints found corrupt (and dropped) by Restore.
+  size_t corruptions() const { return corruptions_; }
 
  private:
+  struct Output {
+    std::string name;
+    Dataset data;       // in-memory mode: the snapshot itself
+    std::string file;   // spill mode: file name under dir_
+    uint64_t rows = 0;  // spill mode: row count and whole-file hash
+    uint64_t hash = 0;
+  };
   struct Record {
     std::string stage_name;
     size_t primary_rows = 0;
-    /// In-memory mode: the snapshots themselves. Spill mode: empty.
-    std::vector<std::pair<std::string, Dataset>> outputs;
-    /// Spill mode: (dataset name, file path) per output. In-memory: empty.
-    std::vector<std::pair<std::string, std::string>> spilled;
+    std::vector<Output> outputs;
     std::vector<std::string> released;
   };
 
   Status WriteManifest() const;
-  Status LoadManifest();
+  bool LoadManifest();
+  Status LoadOutputs(const Record& rec,
+                     std::vector<std::pair<std::string, Dataset>>* out) const;
 
   std::string dir_;           // empty = in-memory mode
-  Status load_status_;        // deferred manifest-load error (spill mode)
+  Status load_status_;        // deferred spill-directory creation error
+  bool manifest_corrupt_ = false;  // found at load, counted by Restore
+  size_t corruptions_ = 0;
   std::vector<Record> records_;
 };
-
-/// Serialize a dataset to `path` / read it back, bit-exactly (schema,
-/// partition shape, every cell). Host-endian binary — checkpoints are
-/// consumed by the machine that wrote them. Exposed for tests.
-Status WriteDatasetFile(const std::string& path, const Dataset& dataset);
-Result<Dataset> ReadDatasetFile(const std::string& path);
 
 }  // namespace timr::mr

@@ -59,11 +59,17 @@ bool ReadExact(int fd, void* buf, size_t n, bool* got_any) {
   return true;
 }
 
+/// Stored-block frames live in files; RecvFrame rejects them.
+bool IsStoredBlockType(uint8_t t) {
+  return t >= static_cast<uint8_t>(MsgType::kDatasetHeader) &&
+         t <= static_cast<uint8_t>(MsgType::kManifest);
+}
+
 }  // namespace
 
 bool IsKnownMsgType(uint8_t t) {
   return t >= static_cast<uint8_t>(MsgType::kHello) &&
-         t <= static_cast<uint8_t>(MsgType::kShutdown);
+         t <= static_cast<uint8_t>(MsgType::kManifest);
 }
 
 void EncodeFrame(MsgType type, std::string_view payload, std::string* out) {
@@ -151,9 +157,10 @@ Status RecvFrame(int fd, Frame* out) {
     return Status::RpcError("rpc frame: bad magic");
   }
   const uint8_t type = static_cast<uint8_t>(hv[4]);
-  if (!IsKnownMsgType(type)) {
-    return Status::RpcError("rpc frame: unknown message type " +
-                            std::to_string(static_cast<int>(type)));
+  if (!IsKnownMsgType(type) || IsStoredBlockType(type)) {
+    return Status::RpcError("rpc frame: message type " +
+                            std::to_string(static_cast<int>(type)) +
+                            " is not a wire message");
   }
   const uint64_t len = GetU64(hv.data() + 8);
   if (len > kMaxFramePayload) {

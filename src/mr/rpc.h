@@ -1,7 +1,8 @@
-// Length-prefixed RPC framing and compact row serialization for the
-// driver/worker split (DESIGN.md §5g).
+// Length-prefixed, hash-checked framing and compact row serialization: the
+// one codec for the driver/worker wire (DESIGN.md §5g) and for spill
+// checkpoints on disk (mr/checkpoint.h).
 //
-// The wire format has two layers:
+// The format has two layers:
 //
 //  - Frame: a fixed 24-byte header [magic u32 | type u8 | pad u8 | pad u16 |
 //    payload_len u64 | payload_hash u64] followed by `payload_len` bytes of
@@ -14,11 +15,12 @@
 //    on garbage bytes.
 //
 //  - Payload: WireWriter/WireReader append/parse scalars, strings, schemas,
-//    and rows. Row cells reuse the checkpoint file's tagged-value encoding
-//    (mr/checkpoint.cc): [type u8][int64|double|len u64 + bytes]. This is the
-//    compact row serialization the shuffle ships between processes — the seed
-//    for ROADMAP item 1's on-disk format. All integers are host-endian: the
-//    driver and its forked workers are by construction the same architecture.
+//    and rows. A cell is [type u8][int64 | double | len u64 + bytes]. The
+//    same frames and cells ship shuffle rows between processes and hold
+//    checkpointed datasets on disk (stored-block frame types below). All
+//    integers are host-endian: the driver and its forked workers are by
+//    construction the same architecture, and checkpoints are read back by
+//    the machine that wrote them.
 //
 // Framed I/O runs over blocking Unix-socket fds (socketpair); SendFrame uses
 // MSG_NOSIGNAL so a peer death yields EPIPE instead of killing the process.
@@ -49,6 +51,10 @@ enum class MsgType : uint8_t {
   kReduceRequest = 5,   // driver -> worker
   kReduceResponse = 6,  // worker -> driver
   kShutdown = 7,        // driver -> worker: exit cleanly
+  // Stored blocks: frames that live in files, never on a socket.
+  kDatasetHeader = 8,  // a dataset's schema + partition count
+  kRowBlock = 9,       // one partition's rows
+  kManifest = 10,      // a checkpoint directory's stage records
 };
 
 /// True when `t` is one of the MsgType values above (a frame with any other
@@ -82,10 +88,10 @@ DecodeResult DecodeFrame(std::string_view bytes);
 Status SendFrame(int fd, MsgType type, std::string_view payload);
 
 /// Read exactly one frame from a blocking fd. EOF before a full header is
-/// kRpcError "peer closed"; EOF or any error mid-frame, bad magic, unknown
-/// type, oversized length, or payload-hash mismatch are kRpcError with a
-/// message naming the condition. Never blocks past the peer's data: the fd is
-/// read exactly as far as the declared frame length.
+/// kRpcError "peer closed"; EOF or any error mid-frame, bad magic, an unknown
+/// or stored-block type, oversized length, or payload-hash mismatch are
+/// kRpcError with a message naming the condition. Never blocks past the
+/// peer's data: the fd is read exactly as far as the declared frame length.
 Status RecvFrame(int fd, Frame* out);
 
 // ------------------------------------------------------ payload encoding --

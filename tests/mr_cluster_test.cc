@@ -7,15 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bt_test_util.h"
+#include "common/rng.h"
 #include "mr/checkpoint.h"
 #include "mr/cluster.h"
 #include "mr/driver.h"
@@ -681,6 +686,31 @@ TEST(Fault, MalformedRowWithoutQuarantineIsStatusNotCrash) {
 // Checkpoint / resume.
 // ---------------------------------------------------------------------------
 
+/// An empty directory under the test temp dir, private to this process so
+/// concurrent test runs cannot share it.
+std::string FreshDir(const std::string& name) {
+  const std::string dir = (std::filesystem::path(::testing::TempDir()) /
+                           (name + "_" + std::to_string(getpid())))
+                              .string();
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(is), {});
+}
+
+std::string Hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 15]);
+  }
+  return out;
+}
+
 std::vector<MRStage> ThreeStageJob() {
   MRStage s1 = IdentityStage("in", "m1", 1);
   s1.name = "s1";
@@ -781,6 +811,165 @@ TEST(Checkpoint, SpillDirectorySurvivesDriverDeath) {
   auto resumed = cluster.RunJob(stages, &resumed_store, opts);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   ExpectStoreEquals(clean_store, resumed_store);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Checkpoint, SpillFileAndManifestGoldenBytes) {
+  // Pins the disk format: a change to these bytes is a format break. Two
+  // partitions; int64, double and string cells; one released input.
+  const std::string dir = FreshDir("timr_ckpt_golden");
+  Dataset data(Schema::Of({{"Time", ValueType::kInt64},
+                           {"Score", ValueType::kDouble},
+                           {"Tag", ValueType::kString}}),
+               2);
+  data.partition(0) = {{Value(int64_t{10}), Value(0.5), Value("ab")}};
+  data.partition(1) = {{Value(int64_t{-1}), Value(-2.0), Value("")}};
+  CheckpointStore checkpoint(dir);
+  ASSERT_TRUE(checkpoint.SaveStage(0, "s1", {{"m1", &data}}, {"in"}).ok());
+
+  // Every frame is [magic "TRPC" | type u8 | 3 zero bytes | payload_len u64 |
+  // FNV-1a(payload) u64] + payload; integers are little-endian here.
+  const std::string golden_file =
+      // kDatasetHeader frame: schema (3 fields) + partition count 2
+      "5452504308000000" "3700000000000000" "3ec0add6729bc830"
+      "0300000000000000" "0400000000000000" "54696d65" "00"
+      "0500000000000000" "53636f7265" "01"
+      "0300000000000000" "546167" "02"
+      "0200000000000000"
+      // kRowBlock frame, partition 0: 1 row (10, 0.5, "ab")
+      "5452504309000000" "2d00000000000000" "162bc06fdaf0af31"
+      "0100000000000000" "0300000000000000" "00" "0a00000000000000"
+      "01" "000000000000e03f" "02" "0200000000000000" "6162"
+      // kRowBlock frame, partition 1: 1 row (-1, -2.0, "")
+      "5452504309000000" "2b00000000000000" "42ec61d5d48fb4db"
+      "0100000000000000" "0300000000000000" "00" "ffffffffffffffff"
+      "01" "00000000000000c0" "02" "0000000000000000";
+  const std::string golden_manifest =
+      // kManifest frame: 1 stage "s1", 2 primary rows, released {"in"},
+      // outputs {("m1", "stage0_out0.ds", 2 rows, file hash)}
+      "545250430a000000" "6400000000000000" "99625bf1e1bb17f1"
+      "0100000000000000" "0200000000000000" "7331" "0200000000000000"
+      "0100000000000000" "0200000000000000" "696e"
+      "0100000000000000" "0200000000000000" "6d31"
+      "0e00000000000000" "7374616765305f6f7574302e6473"
+      "0200000000000000" "b6610aedb467b74c";
+  EXPECT_EQ(Hex(ReadBytes(dir + "/stage0_out0.ds")), golden_file);
+  EXPECT_EQ(Hex(ReadBytes(dir + "/manifest")), golden_manifest);
+
+  std::map<std::string, Dataset> store;
+  store["in"] = Dataset(data.schema(), 1);
+  auto restored = CheckpointStore(dir).Restore({"s1"}, &store);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.ValueOrDie(), 1u);
+  ExpectStoreEquals({{"in", Dataset(data.schema(), 1)}, {"m1", data}}, store);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Checkpoint, SpillsDatasetNamesWithTabsAndNewlines) {
+  const std::string dir = FreshDir("timr_ckpt_names");
+  const Dataset out = BigData(50);
+  const Dataset side = MakeData({{1, 2, 3}});
+  ASSERT_TRUE(CheckpointStore(dir)
+                  .SaveStage(0, "s\t1", {{"out\tput", &out}, {"si\nde", &side}},
+                             {"in\n"})
+                  .ok());
+
+  CheckpointStore recovered(dir);
+  ASSERT_EQ(recovered.num_stages(), 1u);
+  EXPECT_EQ(recovered.stage_name(0), "s\t1");
+  EXPECT_EQ(recovered.released(0), std::vector<std::string>{"in\n"});
+  std::map<std::string, Dataset> store;
+  store["in\n"] = MakeData({{5, 5, 5}});
+  auto restored = recovered.Restore({"s\t1", "s2"}, &store);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.ValueOrDie(), 1u);
+  EXPECT_EQ(recovered.corruptions(), 0u);
+
+  Dataset released = MakeData({{5, 5, 5}});
+  for (size_t p = 0; p < released.num_partitions(); ++p) {
+    released.partition(p).clear();
+  }
+  ExpectStoreEquals(
+      {{"in\n", released}, {"out\tput", out}, {"si\nde", side}}, store);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Checkpoint, EveryByteFlipAndTruncationResumesBitIdentically) {
+  // A small 3-stage job killed after stage 2 leaves two data files and a
+  // manifest. Each mutation of one file must either restore identically or
+  // be detected and re-run from the first bad stage — never wrong output,
+  // an error, or an exception.
+  const std::string clean_dir = FreshDir("timr_ckpt_mutation_clean");
+  const std::string dir = FreshDir("timr_ckpt_mutation");
+  std::filesystem::create_directories(dir);
+  const Dataset input = BigData(24);
+  const auto stages = ThreeStageJob();
+  LocalCluster cluster(2, 1);
+
+  std::map<std::string, Dataset> clean_store;
+  clean_store["in"] = input;
+  ASSERT_TRUE(cluster.RunJob(stages, &clean_store).ok());
+  {
+    CheckpointStore checkpoint(clean_dir);
+    std::map<std::string, Dataset> store;
+    store["in"] = input;
+    JobOptions opts;
+    opts.checkpoint = &checkpoint;
+    opts.chaos_kill_after_stages = 2;
+    ASSERT_FALSE(cluster.RunJob(stages, &store, opts).ok());
+  }
+  // File name -> (bytes, first stage a corruption of it invalidates).
+  std::map<std::string, std::pair<std::string, size_t>> files;
+  files["manifest"] = {ReadBytes(clean_dir + "/manifest"), 0};
+  files["stage0_out0.ds"] = {ReadBytes(clean_dir + "/stage0_out0.ds"), 0};
+  files["stage1_out0.ds"] = {ReadBytes(clean_dir + "/stage1_out0.ds"), 1};
+
+  size_t undetected = 0;
+  auto resume = [&](const std::string& victim, const std::string& bytes) {
+    for (const auto& [name, file] : files) {
+      std::ofstream(dir + "/" + name, std::ios::binary)
+          << (name == victim ? bytes : file.first);
+    }
+    CheckpointStore checkpoint(dir);
+    std::map<std::string, Dataset> store;
+    store["in"] = input;
+    JobOptions opts;
+    opts.checkpoint = &checkpoint;
+    auto run = cluster.RunJob(stages, &store, opts);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    size_t recovered = 0;
+    for (const StageStats& s : run.ValueOrDie().stages) {
+      recovered += s.recovered_from_checkpoint ? 1 : 0;
+    }
+    if (checkpoint.corruptions() == 0) {
+      EXPECT_EQ(recovered, 2u);
+      ++undetected;
+    } else {
+      EXPECT_EQ(checkpoint.corruptions(), 1u);
+      EXPECT_EQ(recovered, files.at(victim).second);
+    }
+    ExpectStoreEquals(clean_store, store);
+  };
+
+  Rng rng(20121);
+  for (const auto& [victim, file] : files) {
+    const std::string& clean = file.first;
+    for (size_t i = 0; i < clean.size() && !HasFailure(); ++i) {
+      SCOPED_TRACE(victim + ": flip byte " + std::to_string(i));
+      std::string flipped = clean;
+      flipped[i] = static_cast<char>(flipped[i] ^ rng.UniformInt(1, 255));
+      resume(victim, flipped);
+    }
+    for (size_t n = 0; n < clean.size() && !HasFailure(); ++n) {
+      SCOPED_TRACE(victim + ": truncate to " + std::to_string(n));
+      resume(victim, clean.substr(0, n));
+    }
+  }
+  // Each frame's payload is hash-checked and the manifest records every data
+  // file's whole-file hash; only the manifest frame's three header padding
+  // bytes are covered by no hash, and nothing reads them.
+  EXPECT_EQ(undetected, 3u);
+  std::filesystem::remove_all(clean_dir);
   std::filesystem::remove_all(dir);
 }
 
@@ -1100,35 +1289,49 @@ TEST(Chaos, ResumeAfterKillBetweenEveryPairOfStages) {
   const int num_stages = static_cast<int>(clean.stats.stages.size());
   ASSERT_GT(num_stages, 1);
   const uint64_t seed = ChaosSeeds().front();
+  const std::string dir = FreshDir("timr_chaos_resume");
 
-  for (int kill_after = 1; kill_after < num_stages; ++kill_after) {
-    CheckpointStore checkpoint;
-    {
+  // Both storage modes: in-memory snapshots resume from the same object; a
+  // spill directory resumes from a fresh CheckpointStore on it, with BT's
+  // double and string cells round-tripping through the file codec.
+  for (bool spill : {false, true}) {
+    for (int kill_after = 1; kill_after < num_stages; ++kill_after) {
+      SCOPED_TRACE(std::string(spill ? "spill" : "in-memory") +
+                   " kill_after=" + std::to_string(kill_after));
+      std::filesystem::remove_all(dir);
+      auto checkpoint = spill ? std::make_unique<CheckpointStore>(dir)
+                              : std::make_unique<CheckpointStore>();
+      {
+        ChaosInjector injector(FaultPlan::AllKinds(seed, 0.12, 0.01));
+        testutil::BtRunConfig cfg;
+        cfg.injector = &injector;
+        cfg.options.checkpoint = checkpoint.get();
+        cfg.options.chaos_kill_after_stages = kill_after;
+        testutil::BtRun killed = testutil::RunBtJob(cfg);
+        ASSERT_FALSE(killed.status.ok()) << "kill_after=" << kill_after;
+        EXPECT_NE(killed.status.message().find("chaos kill"),
+                  std::string::npos);
+      }
+      if (spill) checkpoint = std::make_unique<CheckpointStore>(dir);
+      ASSERT_EQ(checkpoint->num_stages(), static_cast<size_t>(kill_after));
+
+      // Resume (chaos still on) and demand the fault-free result exactly.
       ChaosInjector injector(FaultPlan::AllKinds(seed, 0.12, 0.01));
       testutil::BtRunConfig cfg;
       cfg.injector = &injector;
-      cfg.options.checkpoint = &checkpoint;
-      cfg.options.chaos_kill_after_stages = kill_after;
-      testutil::BtRun killed = testutil::RunBtJob(cfg);
-      ASSERT_FALSE(killed.status.ok()) << "kill_after=" << kill_after;
-      EXPECT_NE(killed.status.message().find("chaos kill"), std::string::npos);
+      cfg.options.checkpoint = checkpoint.get();
+      testutil::BtRun resumed = testutil::RunBtJob(cfg);
+      ASSERT_TRUE(resumed.status.ok())
+          << "kill_after=" << kill_after << ": " << resumed.status.ToString();
+      for (int i = 0; i < kill_after; ++i) {
+        EXPECT_TRUE(resumed.stats.stages[i].recovered_from_checkpoint);
+      }
+      EXPECT_EQ(checkpoint->corruptions(), 0u);
+      testutil::ExpectEventsIdentical(clean.output, resumed.output);
+      testutil::ExpectStoresBitIdentical(clean.store, resumed.store);
     }
-    ASSERT_EQ(checkpoint.num_stages(), static_cast<size_t>(kill_after));
-
-    // Resume (chaos still on) and demand the fault-free result exactly.
-    ChaosInjector injector(FaultPlan::AllKinds(seed, 0.12, 0.01));
-    testutil::BtRunConfig cfg;
-    cfg.injector = &injector;
-    cfg.options.checkpoint = &checkpoint;
-    testutil::BtRun resumed = testutil::RunBtJob(cfg);
-    ASSERT_TRUE(resumed.status.ok())
-        << "kill_after=" << kill_after << ": " << resumed.status.ToString();
-    for (int i = 0; i < kill_after; ++i) {
-      EXPECT_TRUE(resumed.stats.stages[i].recovered_from_checkpoint);
-    }
-    testutil::ExpectEventsIdentical(clean.output, resumed.output);
-    testutil::ExpectStoresBitIdentical(clean.store, resumed.store);
   }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

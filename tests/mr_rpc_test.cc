@@ -2,8 +2,9 @@
 // request/response round-trips, and a malformed-frame corpus — truncated,
 // oversized, garbage, bad-magic, bad-hash — that must surface as structured
 // kRpcError, never a crash, hang, or runaway allocation. The row
-// serialization golden test pins the compact shuffle encoding (the seed for
-// ROADMAP item 1's on-disk format): a byte change there is a format break.
+// serialization golden test pins the compact shuffle encoding, which spill
+// checkpoints also store (mr_cluster_test.cc pins that file format): a byte
+// change there is a format break.
 
 #include <gtest/gtest.h>
 
@@ -208,6 +209,26 @@ TEST(RpcFrame, SendToClosedPeerIsRpcErrorNotSignal) {
   if (st.ok()) st = rpc::SendFrame(sv[0], MsgType::kMapRequest, big);
   EXPECT_EQ(st.code(), StatusCode::kRpcError);
   close(sv[0]);
+}
+
+TEST(RpcFrame, StoredBlockTypesAreRejectedOnASocket) {
+  // Stored-block frames live in checkpoint files: DecodeFrame (the file
+  // path) accepts them, but RecvFrame, which the driver and workers read
+  // with, rejects them.
+  for (MsgType type :
+       {MsgType::kDatasetHeader, MsgType::kRowBlock, MsgType::kManifest}) {
+    std::string out;
+    EncodeFrame(type, "block", &out);
+    EXPECT_TRUE(DecodeFrame(out).status.ok());
+    int sv[2];
+    ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    ASSERT_EQ(write(sv[0], out.data(), out.size()),
+              static_cast<ssize_t>(out.size()));
+    Frame f;
+    EXPECT_EQ(rpc::RecvFrame(sv[1], &f).code(), StatusCode::kRpcError);
+    close(sv[0]);
+    close(sv[1]);
+  }
 }
 
 // -------------------------------------------- compact row serialization ----
