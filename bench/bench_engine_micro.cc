@@ -12,6 +12,8 @@
 #include "bt/model.h"
 #include "bt/queries.h"
 #include "common/rng.h"
+#include "mr/rpc.h"
+#include "temporal/convert.h"
 #include "temporal/executor.h"
 #include "temporal/query.h"
 #include "workload/generator.h"
@@ -345,6 +347,76 @@ void BM_BtPipeline(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * consumed);
 }
 BENCHMARK(BM_BtPipeline)->Unit(benchmark::kMillisecond);
+
+// ---- String-column paths. No BT workload has a string column, so these
+// guard the costs a string cell moves: building one from a std::string
+// allocates a shared rep (no small-string buffer), while copying one is a
+// refcount bump. Keys are short ("k0".."k4095").
+
+Schema StringKeyRowSchema() {
+  return Schema::Of({{"Time", ValueType::kInt64},
+                     {"Key", ValueType::kString},
+                     {"Val", ValueType::kInt64}});
+}
+
+std::vector<Row> MakeStringKeyRows(int64_t n, int64_t keys, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Row> rows;
+  rows.reserve(n);
+  for (int64_t i = 0; i < n; ++i) {
+    rows.push_back({Value(i),
+                    Value("k" + std::to_string(rng.UniformInt(0, keys - 1))),
+                    Value(rng.UniformInt(0, 100))});
+  }
+  return rows;
+}
+
+// The process-mode shuffle codec: encode a partition of rows, then decode it
+// (one string cell built per decoded row).
+void BM_WireRowsRoundTrip(benchmark::State& state) {
+  const std::vector<Row> rows = MakeStringKeyRows(state.range(0), 256, 9);
+  for (auto _ : state) {
+    mr::rpc::WireWriter writer;
+    writer.Rows(rows);
+    const std::string buf = writer.Take();
+    mr::rpc::WireReader reader(buf);
+    std::vector<Row> back;
+    TIMR_CHECK(reader.Rows(&back));
+    TIMR_CHECK_OK(reader.Finish("bench rows"));
+    benchmark::DoNotOptimize(back.size());
+  }
+  state.SetItemsProcessed(state.iterations() * rows.size());
+}
+BENCHMARK(BM_WireRowsRoundTrip)->Arg(1 << 15);
+
+// The reducer's row -> event ingest, which interns string columns.
+void BM_EventsFromRows(benchmark::State& state) {
+  const std::vector<Row> rows = MakeStringKeyRows(1 << 15, state.range(0), 10);
+  const Schema schema = StringKeyRowSchema();
+  for (auto _ : state) {
+    auto events = T::EventsFromRows(schema, rows);
+    TIMR_CHECK(events.ok());
+    benchmark::DoNotOptimize(events.ValueOrDie().size());
+  }
+  state.SetItemsProcessed(state.iterations() * rows.size());
+}
+BENCHMARK(BM_EventsFromRows)->Arg(256);
+
+void BM_GroupedCountStringKey(benchmark::State& state) {
+  std::vector<T::Event> events;
+  for (Row& row : MakeStringKeyRows(1 << 15, state.range(0), 11)) {
+    const T::Timestamp t = row[0].AsInt64();
+    events.push_back(
+        T::Event::Point(t, {std::move(row[1]), std::move(row[2])}));
+  }
+  auto plan = T::Query::Input("S", Schema::Of({{"Key", ValueType::kString},
+                                               {"Val", ValueType::kInt64}}))
+                  .GroupApply({"Key"},
+                              [](T::Query g) { return g.Window(512).Count(); })
+                  .node();
+  RunPlan(state, plan, events);
+}
+BENCHMARK(BM_GroupedCountStringKey)->Arg(16)->Arg(256)->Arg(4096);
 
 /// Console output as usual, plus one TIMR_BENCH_JSON line per run.
 class JsonLineReporter : public benchmark::ConsoleReporter {

@@ -332,8 +332,11 @@ Query BtFeaturePipeline(const BtQueryConfig& config, Annotation annotation) {
     input = input.Exchange(PartitionSpec::ByKeys({kColUserId}));
   }
   Query clean = BotElimination(input, config);
-  // Materialize the cleaned stream at a fragment boundary so both consumers
-  // (GenTrainData and the per-ad totals) read it instead of recomputing it.
+  // Only GenTrainData reads the cleaned stream through the {UserId} exchange,
+  // which materializes it at a fragment boundary. FeatureScores gets `clean`
+  // without that exchange, so its per-ad totals land in a fragment of their
+  // own that reads BtLog and runs BotElimination (the per-user bot detector)
+  // a second time: the standard plan computes the bot list twice.
   Query clean_by_user =
       annotation != Annotation::kNone
           ? clean.Exchange(PartitionSpec::ByKeys({kColUserId}))

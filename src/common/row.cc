@@ -1,35 +1,39 @@
 #include "common/row.h"
 
-#include <functional>
 #include <mutex>
 #include <sstream>
-#include <unordered_set>
+#include <string_view>
+#include <unordered_map>
+#include <variant>
 
 #include "common/hash.h"
 
 namespace timr {
 
 Value Value::Interned(std::string s) {
-  struct PtrHash {
-    size_t operator()(const std::shared_ptr<const std::string>& p) const {
-      return HashBytes(p->data(), p->size());
+  struct ViewHash {
+    size_t operator()(std::string_view v) const {
+      return HashBytes(v.data(), v.size());
     }
   };
-  struct PtrEq {
-    bool operator()(const std::shared_ptr<const std::string>& a,
-                    const std::shared_ptr<const std::string>& b) const {
-      return *a == *b;
-    }
-  };
+  // Never destroyed: interned reps live as long as the process, and handles
+  // (and StringDict's pointer keys) may outlive static destruction order.
   static std::mutex mu;
-  static std::unordered_set<std::shared_ptr<const std::string>, PtrHash, PtrEq>
-      table;
-  auto entry = std::make_shared<const std::string>(std::move(s));
+  static auto* table =
+      new std::unordered_map<std::string_view, StringRep*, ViewHash>();
   std::lock_guard<std::mutex> lock(mu);
+  auto it = table->find(s);
+  if (it == table->end()) {
+    StringRep* rep = new StringRep(std::move(s));
+    it = table->emplace(rep->str, rep).first;
+  }
   Value v;
-  v.repr_ = *table.insert(std::move(entry)).first;
+  v.p_.s = it->second;
+  v.tag_ = kInternedTag;
   return v;
 }
+
+void Value::ThrowBadAccess() { throw std::bad_variant_access(); }
 
 std::string Value::ToString() const {
   std::ostringstream os;

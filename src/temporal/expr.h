@@ -55,8 +55,22 @@ struct SelectSpec {
 
 /// Value-semantics comparison used by the row path. For type-matched operands
 /// (the validated case) this is a plain comparison of the underlying values,
-/// which is exactly what the columnar kernels compute.
+/// which is exactly what the columnar kernels compute: doubles use the IEEE
+/// operators (a NaN cell passes only `!=`), not Value's total order.
 inline bool EvalCompare(const Value& cell, CmpOp op, const Value& lit) {
+  if (cell.is_double() && lit.is_double()) {
+    const double a = cell.AsDouble();
+    const double b = lit.AsDouble();
+    switch (op) {
+      case CmpOp::kEq: return a == b;
+      case CmpOp::kNe: return a != b;
+      case CmpOp::kLt: return a < b;
+      case CmpOp::kLe: return a <= b;
+      case CmpOp::kGt: return a > b;
+      case CmpOp::kGe: return a >= b;
+    }
+    return false;
+  }
   switch (op) {
     case CmpOp::kEq: return cell == lit;
     case CmpOp::kNe: return !(cell == lit);

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <variant>
 #include <vector>
 
 #include "common/hash.h"
@@ -90,6 +95,139 @@ TEST(Value, InternedIsStringByContent) {
   EXPECT_FALSE(interned < Value("keyword"));
   EXPECT_FALSE(Value("keyword") < interned);
   EXPECT_TRUE(Value("a") < interned);
+}
+
+TEST(Value, IsSixteenBytes) {
+  EXPECT_EQ(sizeof(Value), 16u);
+}
+
+// Every storage form through copy/move construction and assignment,
+// including self-assignment; ASan builds check that no rep leaks or is freed
+// twice.
+TEST(Value, CopyMoveAndAssignEveryForm) {
+  const std::vector<Value> forms = {
+      Value(int64_t{-7}), Value(2.5),
+      Value(std::string(100, 'x')),  // past any small-string buffer
+      Value("short"), Value::Interned("interned-form")};
+  for (const Value& original : forms) {
+    SCOPED_TRACE(original.ToString());
+    Value copy(original);
+    EXPECT_EQ(copy, original);
+    EXPECT_EQ(copy.is_interned(), original.is_interned());
+    Value moved(std::move(copy));
+    EXPECT_EQ(moved, original);
+
+    for (const Value& other : forms) {
+      Value target = other;
+      target = original;
+      EXPECT_EQ(target, original);
+      Value sink = other;
+      Value source = original;
+      sink = std::move(source);
+      EXPECT_EQ(sink, original);
+    }
+
+    Value self = original;
+    const Value& alias = self;
+    self = alias;
+    EXPECT_EQ(self, original);
+    Value& move_alias = self;
+    self = std::move(move_alias);
+    EXPECT_EQ(self, original);
+  }
+}
+
+TEST(Value, MovedFromIsValidAndAssignable) {
+  Value s("payload that is not tiny at all");
+  Value taken = std::move(s);
+  EXPECT_EQ(taken.AsString(), "payload that is not tiny at all");
+  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state is defined.
+  EXPECT_TRUE(s.is_int64());
+  EXPECT_EQ(s, Value(int64_t{0}));
+  s = Value("again");
+  EXPECT_EQ(s.AsString(), "again");
+  s = taken;
+  EXPECT_EQ(s, taken);
+}
+
+TEST(Value, WrongTypeReadThrowsBadVariantAccess) {
+  EXPECT_THROW(Value("k").AsInt64(), std::bad_variant_access);
+  EXPECT_THROW(Value::Interned("k").AsDouble(), std::bad_variant_access);
+  EXPECT_THROW(Value(int64_t{1}).AsString(), std::bad_variant_access);
+  EXPECT_THROW(Value(1.5).AsInt64(), std::bad_variant_access);
+  EXPECT_THROW(Value(int64_t{1}).AsDouble(), std::bad_variant_access);
+  EXPECT_THROW(Value("k").AsNumeric(), std::bad_variant_access);
+}
+
+// One owned string rep copied and dropped from several threads at once: the
+// refcount must neither free it early nor leak it (TSan/ASan builds check).
+TEST(Value, ConcurrentStringCopiesShareOneRep) {
+  const Value shared(std::string(64, 'q'));
+  std::vector<std::thread> threads;
+  std::atomic<int> mismatches{0};
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&shared, &mismatches] {
+      std::vector<Value> held;
+      for (int i = 0; i < 20000; ++i) {
+        Value copy = shared;
+        if (&copy.AsString() != &shared.AsString()) ++mismatches;
+        held.push_back(std::move(copy));
+        if (held.size() == 64) held.clear();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(shared.AsString(), std::string(64, 'q'));
+}
+
+// ==, < and Hash agree on doubles: one zero, and one NaN above +inf.
+TEST(Value, DoubleEqualityAndHashAgree) {
+  EXPECT_EQ(Value(0.0), Value(-0.0));
+  EXPECT_EQ(Value(0.0).Hash(), Value(-0.0).Hash());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double other_nan = -std::nan("7");
+  EXPECT_EQ(Value(nan), Value(nan));
+  EXPECT_EQ(Value(nan), Value(other_nan));
+  EXPECT_EQ(Value(nan).Hash(), Value(other_nan).Hash());
+  EXPECT_NE(Value(nan), Value(1.0));
+  EXPECT_EQ(HashRow({Value(-0.0), Value(other_nan)}),
+            HashRow({Value(0.0), Value(nan)}));
+}
+
+TEST(Value, DoubleOrderIsStrictWeakWithNaN) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Value> v = {Value(nan), Value(-inf), Value(1.0),
+                                Value(-0.0), Value(inf), Value(-std::nan("3")),
+                                Value(0.0), Value(-1.0)};
+  auto equiv = [](const Value& a, const Value& b) {
+    return !(a < b) && !(b < a);
+  };
+  for (const Value& a : v) {
+    EXPECT_FALSE(a < a) << a.ToString();
+    for (const Value& b : v) {
+      EXPECT_FALSE(a < b && b < a);
+      // Equivalence under < is exactly ==.
+      EXPECT_EQ(equiv(a, b), a == b) << a.ToString() << " " << b.ToString();
+      for (const Value& c : v) {
+        if (a < b && b < c) {
+          EXPECT_TRUE(a < c);
+        }
+        if (equiv(a, b) && equiv(b, c)) {
+          EXPECT_TRUE(equiv(a, c));
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(Value(inf) < Value(nan));
+  EXPECT_FALSE(Value(nan) < Value(inf));
+  std::vector<Value> sorted = v;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
+  EXPECT_EQ(sorted.front(), Value(-inf));
+  EXPECT_EQ(sorted[6], Value(nan));
+  EXPECT_EQ(sorted[7], Value(nan));
 }
 
 TEST(Row, ExtractKeySelectsColumns) {
