@@ -312,7 +312,7 @@ void ComputeKeyHashes(const ColumnarPayload& payload,
                       const std::vector<int>& key_indices,
                       std::vector<uint64_t>* out) {
   const size_t n = payload.num_rows();
-  // Same seed and per-value hash as HashKeyOf / Value::Hash (common/row.cc),
+  // Same seed and per-cell hashes as HashKeyOf / Value::Hash (common/row.h),
   // restructured as one pass per key column.
   out->assign(n, 0x51ed270b0a1f3c49ULL);
   uint64_t* h = out->data();
@@ -323,9 +323,7 @@ void ComputeKeyHashes(const ColumnarPayload& payload,
         const int64_t* v = col.i64.data();
         TIMR_SIMD_LOOP
         for (size_t r = 0; r < n; ++r) {
-          h[r] = HashCombine(
-              h[r],
-              HashMix(static_cast<uint64_t>(v[r]) + 0x9e3779b97f4a7c15ULL));
+          h[r] = HashCombine(h[r], HashInt64Cell(v[r]));
         }
         break;
       }
@@ -333,9 +331,7 @@ void ComputeKeyHashes(const ColumnarPayload& payload,
         const double* v = col.f64.data();
         TIMR_SIMD_LOOP
         for (size_t r = 0; r < n; ++r) {
-          uint64_t bits;
-          __builtin_memcpy(&bits, &v[r], sizeof(bits));
-          h[r] = HashCombine(h[r], HashMix(bits ^ 0xc2b2ae3d27d4eb4fULL));
+          h[r] = HashCombine(h[r], HashDoubleCell(v[r]));
         }
         break;
       }
