@@ -16,6 +16,7 @@
 #include "temporal/convert.h"
 #include "temporal/executor.h"
 #include "temporal/query.h"
+#include "timr/live_pipeline.h"
 #include "workload/generator.h"
 
 namespace {
@@ -347,6 +348,38 @@ void BM_BtPipeline(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * consumed);
 }
 BENCHMARK(BM_BtPipeline)->Unit(benchmark::kMillisecond);
+
+// Live per-event push: the BT feature pipeline as a LivePipeline (one engine
+// per fragment), fed PushCti + PushEvent for every event of a week log of
+// 500 users (the perfbench live_feed shape), as a live feed would. items =
+// pushed events, so the rate is the per-event push throughput the live_feed
+// latency rests on.
+void BM_LivePush(benchmark::State& state) {
+  workload::GeneratorConfig wcfg;
+  wcfg.num_users = 500;
+  wcfg.vocab_size = 20000;
+  wcfg.duration = 7 * T::kDay;
+  wcfg.num_ad_classes = 10;
+  auto log = workload::GenerateBtLog(wcfg);
+  auto plan =
+      bt::BtFeaturePipeline(benchutil::BenchBtConfig(), bt::Annotation::kStandard)
+          .node();
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto live = framework::LivePipeline::Create(plan);
+    TIMR_CHECK(live.ok());
+    std::vector<T::Event> feed = log.events;
+    state.ResumeTiming();
+    for (T::Event& e : feed) {
+      live.ValueOrDie()->PushCti(e.le);
+      TIMR_CHECK_OK(live.ValueOrDie()->PushEvent(bt::kBtInput, std::move(e)));
+    }
+    live.ValueOrDie()->Finish();
+    benchmark::DoNotOptimize(live.ValueOrDie()->TakeOutput().size());
+  }
+  state.SetItemsProcessed(state.iterations() * log.events.size());
+}
+BENCHMARK(BM_LivePush)->Unit(benchmark::kMillisecond);
 
 // ---- String-column paths. No BT workload has a string column, so these
 // guard the costs a string cell moves: building one from a std::string

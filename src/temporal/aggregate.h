@@ -14,6 +14,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -153,17 +154,62 @@ class AggregateOp : public UnaryOperator {
         value_index_(value_index),
         scalar_(internal::ScalarAggregate(spec.kind)) {}
 
-  void OnEvent(Event event) override {
-    CountConsumed();
-    TIMR_DCHECK(event.le >= flushed_to_) << "event arrived below aggregate CTI";
-    const double v = spec_.kind == AggKind::kCount
-                         ? 1.0
-                         : event.payload[value_index_].AsNumeric();
-    AddBoundaries(event.le, event.re, v);
+  void OnBatch(EventBatch&& batch) override {
+    const EventBatch& in = batch;  // read-only: a shared view stays shared
+    const bool count = spec_.kind == AggKind::kCount;
+    // Columnar batches are read in place; a string value column (AsNumeric
+    // rejects it anyway) takes the row path.
+    if (in.columnar() && !count &&
+        in.columnar_payload().col(value_index_).type == ValueType::kString) {
+      batch.EnsureRows();
+    }
+    const auto& marks = in.ctis();
+    size_t m = 0;
+    auto advance_to = [&](size_t i) {
+      for (; m < marks.size() && marks[m].pos <= i; ++m) Advance(marks[m].t);
+    };
+    if (in.columnar()) {
+      const ColumnarPayload& p = in.columnar_payload();
+      const Column* vc = count ? nullptr : &p.col(value_index_);
+      for (size_t i = 0; i < p.num_rows(); ++i) {
+        advance_to(i);
+        Add(p.le()[i], p.re()[i],
+            vc == nullptr                  ? 1.0
+            : vc->type == ValueType::kInt64 ? static_cast<double>(vc->i64[i])
+                                            : vc->f64[i]);
+      }
+    } else {
+      const auto& events = in.events();
+      for (size_t i = 0; i < events.size(); ++i) {
+        advance_to(i);
+        const Event& e = events[i];
+        Add(e.le, e.re, count ? 1.0 : e.payload[value_index_].AsNumeric());
+      }
+    }
+    advance_to(in.NumEvents());
+    batch.Clear();
+    Flush();
   }
 
-  void OnCti(Timestamp t) override {
-    // Finalize every snapshot [b_i, b_{i+1}) with b_{i+1} <= t.
+ private:
+  struct Delta {
+    double value;
+    int sign;
+  };
+
+  void Add(Timestamp le, Timestamp re, double v) {
+    CountConsumed();
+    TIMR_DCHECK(le >= flushed_to_) << "event arrived below aggregate CTI";
+    if (scalar_) {
+      sweep_.Add(le, re, v);
+    } else {
+      boundaries_[le].push_back({v, +1});
+      boundaries_[re].push_back({v, -1});
+    }
+  }
+
+  /// CTI(t): finalizes every snapshot [b_i, b_{i+1}) with b_{i+1} <= t.
+  void Advance(Timestamp t) {
     bool active;
     Timestamp open_since;
     if (scalar_) {
@@ -197,65 +243,6 @@ class AggregateOp : public UnaryOperator {
     // Future output LEs are at least the start of the still-open snapshot (if
     // any events are active) or t (if none are).
     EmitCti(active ? open_since : t);
-  }
-
-  void OnBatch(EventBatch&& batch) override {
-    // Columnar kernel: read le/re and the value column directly, one
-    // AddBoundaries call per row, CTI marks handled in stream order. A string
-    // value column (AsNumeric would reject it anyway) falls back to rows.
-    if (batch.columnar() &&
-        (spec_.kind == AggKind::kCount ||
-         batch.columnar_payload().col(value_index_).type !=
-             ValueType::kString)) {
-      const ColumnarPayload& p = batch.columnar_payload();
-      const bool count_only = spec_.kind == AggKind::kCount;
-      const Column* vc = count_only ? nullptr : &p.col(value_index_);
-      const Timestamp* le = p.le().data();
-      const Timestamp* re = p.re().data();
-      const auto& marks = batch.ctis();
-      const size_t n = p.num_rows();
-      size_t m = 0;
-      for (size_t i = 0; i < n; ++i) {
-        for (; m < marks.size() && marks[m].pos <= i; ++m) OnCti(marks[m].t);
-        CountConsumed();
-        TIMR_DCHECK(le[i] >= flushed_to_) << "event arrived below aggregate CTI";
-        const double v =
-            count_only ? 1.0
-                       : (vc->type == ValueType::kInt64
-                              ? static_cast<double>(vc->i64[i])
-                              : vc->f64[i]);
-        AddBoundaries(le[i], re[i], v);
-      }
-      for (; m < marks.size(); ++m) OnCti(marks[m].t);
-      batch.Clear();
-      return;
-    }
-    batch.EnsureRows();
-    // Row path in bulk: same per-event calls without per-item virtual hops.
-    auto& events = batch.events();
-    const auto& marks = batch.ctis();
-    size_t m = 0;
-    for (size_t i = 0; i < events.size(); ++i) {
-      for (; m < marks.size() && marks[m].pos <= i; ++m) OnCti(marks[m].t);
-      OnEvent(std::move(events[i]));
-    }
-    for (; m < marks.size(); ++m) OnCti(marks[m].t);
-    batch.Clear();
-  }
-
- private:
-  struct Delta {
-    double value;
-    int sign;
-  };
-
-  void AddBoundaries(Timestamp le, Timestamp re, double v) {
-    if (scalar_) {
-      sweep_.Add(le, re, v);
-    } else {
-      boundaries_[le].push_back({v, +1});
-      boundaries_[re].push_back({v, -1});
-    }
   }
 
   AggregateSpec spec_;

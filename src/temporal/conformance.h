@@ -29,19 +29,9 @@ class ConformanceCheckOp : public UnaryOperator {
   /// "frag_1/input:ClickLog" or "frag_1/output".
   explicit ConformanceCheckOp(std::string label) : label_(std::move(label)) {}
 
-  void OnEvent(Event event) override {
-    CountConsumed();
-    if (CheckEvent(event)) Emit(std::move(event));
-  }
-
-  void OnCti(Timestamp t) override {
-    if (CheckCti(t)) EmitCti(t);
-  }
-
-  /// Batched form: one in-place pass applies exactly the per-item checks in
-  /// stream order, dropping violating events and regressed CTI marks, so
-  /// keeping validate_streams on costs one extra pass per batch rather than
-  /// two virtual calls per event.
+  /// One in-place pass applies the checks in stream order, dropping violating
+  /// events and regressed CTI marks, so keeping validate_streams on costs one
+  /// extra pass per batch.
   void OnBatch(EventBatch&& batch) override {
     CountConsumedN(batch.NumEvents());
     if (batch.columnar()) {
@@ -134,7 +124,7 @@ class ConformanceCheckOp : public UnaryOperator {
   }
 
   /// Returns whether the CTI is monotone (a stale equal CTI is forwarded and
-  /// dropped downstream, exactly as the per-item path does via EmitCti).
+  /// dropped at emission).
   bool CheckCti(Timestamp t) {
     if (t < last_cti_) {
       Record("CTI regressed from " + std::to_string(last_cti_) + " to " +

@@ -47,17 +47,22 @@ std::map<Row, StepFunction, RowOrder> Normalize(const std::vector<Event>& events
   return out;
 }
 
-// Per-thread freelist of batch storages. Bounded so an operator holding many
-// clones cannot make the pool grow without limit; entries keep their capacity,
-// which is the whole point.
-struct BatchStorage {
+// Per-thread freelists of batch storage: the row vectors and, separately, the
+// columnar payload, so a row batch never moves a payload in or out. Bounded
+// so an operator holding many clones cannot make them grow without limit;
+// entries keep their capacity, which is the whole point.
+struct RowStorage {
   std::vector<Event> events;
   std::vector<EventBatch::CtiMark> ctis;
-  ColumnarPayload payload;
 };
 
-std::vector<BatchStorage>& BatchPool() {
-  thread_local std::vector<BatchStorage> pool;
+std::vector<RowStorage>& RowPool() {
+  thread_local std::vector<RowStorage> pool;
+  return pool;
+}
+
+std::vector<std::unique_ptr<ColumnarPayload>>& PayloadPool() {
+  thread_local std::vector<std::unique_ptr<ColumnarPayload>> pool;
   return pool;
 }
 
@@ -66,68 +71,89 @@ constexpr size_t kBatchPoolMax = 16;
 }  // namespace
 
 EventBatch::EventBatch() {
-  auto& pool = BatchPool();
+  auto& pool = RowPool();
   if (!pool.empty()) {
     events_ = std::move(pool.back().events);
     ctis_ = std::move(pool.back().ctis);
-    payload_ = std::move(pool.back().payload);
     pool.pop_back();
   }
 }
 
 EventBatch::~EventBatch() {
-  if (events_.capacity() == 0 && ctis_.capacity() == 0 &&
-      !payload_.AnyCapacity()) {
+  if (events_.capacity() != 0 || ctis_.capacity() != 0) {
+    auto& pool = RowPool();
+    if (pool.size() < kBatchPoolMax) {
+      events_.clear();
+      ctis_.clear();
+      pool.push_back(RowStorage{std::move(events_), std::move(ctis_)});
+    }
+  }
+  if (payload_ != nullptr && payload_->AnyCapacity()) {
+    auto& pool = PayloadPool();
+    if (pool.size() < kBatchPoolMax) {
+      payload_->ClearAll();
+      pool.push_back(std::move(payload_));
+    }
+  }
+}
+
+void EventBatch::AcquirePayload() {
+  if (payload_ != nullptr) return;
+  auto& pool = PayloadPool();
+  if (pool.empty()) {
+    payload_ = std::make_unique<ColumnarPayload>();
     return;
   }
-  auto& pool = BatchPool();
-  if (pool.size() >= kBatchPoolMax) return;
-  events_.clear();
-  ctis_.clear();
-  payload_.ClearAll();
-  pool.push_back(
-      BatchStorage{std::move(events_), std::move(ctis_), std::move(payload_)});
+  payload_ = std::move(pool.back());
+  pool.pop_back();
+}
+
+void EventBatch::BeginColumnar(const Schema& payload_schema) {
+  TIMR_DCHECK(Empty());
+  view_of_.reset();  // an empty view owns nothing worth keeping
+  AcquirePayload();
+  payload_->Begin(payload_schema);
+  columnar_ = true;
 }
 
 EventBatch EventBatch::Clone() const {
-  const EventBatch& src = r();
   EventBatch copy;
-  copy.events_.assign(src.events_.begin(), src.events_.end());
-  copy.ctis_.assign(src.ctis_.begin(), src.ctis_.end());
-  if (src.columnar_) {
-    copy.payload_ = src.payload_;
-    copy.columnar_ = true;
-  }
+  copy.CopyFrom(*this);
   return copy;
+}
+
+void EventBatch::CopyFrom(const EventBatch& other) {
+  const EventBatch& src = other.r();
+  events_.assign(src.events_.begin(), src.events_.end());
+  ctis_.assign(src.ctis_.begin(), src.ctis_.end());
+  if (src.columnar_) {
+    AcquirePayload();
+    *payload_ = *src.payload_;
+    columnar_ = true;
+  }
 }
 
 void EventBatch::Localize() {
   std::shared_ptr<EventBatch> src = std::move(view_of_);
   TIMR_DCHECK(src != nullptr);
   if (src.use_count() == 1) {
-    // Last live reference: steal the storage. Swapping (not moving) hands our
-    // pooled-but-empty vectors to the dying source, so their capacity flows
-    // back to the thread-local pool through its destructor.
+    // Last live reference: steal the storage outright.
     std::swap(events_, src->events_);
     std::swap(ctis_, src->ctis_);
     std::swap(payload_, src->payload_);
     columnar_ = src->columnar_;
     src->columnar_ = false;
   } else {
-    events_.assign(src->events_.begin(), src->events_.end());
-    ctis_.assign(src->ctis_.begin(), src->ctis_.end());
-    if (src->columnar_) {
-      payload_ = src->payload_;
-      columnar_ = true;
-    }
+    *this = src->Clone();  // a pooled copy: a view holds no storage of its own
   }
 }
 
 void EventBatch::EnsureRows() {
   EnsureOwned();
   if (!columnar_) return;
-  TIMR_DCHECK(payload_.all_valid()) << "EnsureRows with a pending selection";
-  const size_t n = payload_.num_rows();
+  const ColumnarPayload& p = *payload_;
+  TIMR_DCHECK(p.all_valid()) << "EnsureRows with a pending selection";
+  const size_t n = p.num_rows();
   events_.clear();
   events_.reserve(n);
   for (size_t r = 0; r < n; ++r) {
@@ -135,12 +161,12 @@ void EventBatch::EnsureRows() {
     // columnar batch may carry not-yet-conformance-checked data that the row
     // path is expected to see (and reject) as-is.
     Event e;
-    e.le = payload_.le()[r];
-    e.re = payload_.re()[r];
-    e.payload = payload_.MaterializeRow(r);
+    e.le = p.le()[r];
+    e.re = p.re()[r];
+    e.payload = p.MaterializeRow(r);
     events_.push_back(std::move(e));
   }
-  payload_.ClearAll();
+  payload_->ClearAll();
   columnar_ = false;
 }
 

@@ -52,22 +52,21 @@ struct Event {
 /// \brief A morsel of the punctuated stream: events in non-decreasing LE
 /// order with CTI punctuations interleaved as positional marks (a mark at
 /// `pos` fires before the event at that index; `pos == events().size()` is a
-/// trailing mark). Semantically an EventBatch is *exactly* the per-event call
-/// sequence it expands to — EventSink::OnBatch's default implementation
-/// replays it through OnEvent/OnCti — so batching is purely an amortization
-/// of dispatch, never a semantics change.
+/// trailing mark). A batch is the only form in which a stream reaches an
+/// operator (EventSink::OnBatch); a per-event push is a batch of one, and an
+/// operator's output must not depend on where the batch boundaries fall.
 ///
 /// Batch storage is pooled per thread: destroying a batch returns its vectors
 /// to a small freelist the next default-constructed batch reuses, so a
 /// steady-state pipeline performs O(1) allocations per batch, not O(events).
+/// The columnar payload has its own freelist, taken only by columnar batches.
 ///
 /// A batch holds its events in exactly one of two representations:
 ///  - row mode (the default): a vector<Event> of materialized rows;
 ///  - columnar mode: a ColumnarPayload of per-field vectors with le/re as
 ///    their own columns, entered via BeginColumnar()/TryAppendColumnar().
 /// CTI marks are positional in both modes. EnsureRows() converts columnar →
-/// rows in place; it is called automatically by Drain(), so every per-event
-/// consumer (UDOs, operators without columnar kernels) works unchanged.
+/// rows in place for consumers without columnar kernels (UDOs, joins, ...).
 class EventBatch {
  public:
   struct CtiMark {
@@ -78,10 +77,42 @@ class EventBatch {
   EventBatch();   // acquires pooled storage when available
   ~EventBatch();  // returns storage to the pool
 
-  EventBatch(EventBatch&&) noexcept = default;
-  EventBatch& operator=(EventBatch&&) noexcept = default;
+  // A moved-from batch is empty in either mode: it leaves columnar mode along
+  // with its payload.
+  EventBatch(EventBatch&& o) noexcept
+      : events_(std::move(o.events_)),
+        ctis_(std::move(o.ctis_)),
+        payload_(std::move(o.payload_)),
+        columnar_(std::exchange(o.columnar_, false)),
+        view_of_(std::move(o.view_of_)) {}
+  EventBatch& operator=(EventBatch&& o) noexcept {
+    events_ = std::move(o.events_);
+    ctis_ = std::move(o.ctis_);
+    payload_ = std::move(o.payload_);
+    columnar_ = std::exchange(o.columnar_, false);
+    view_of_ = std::move(o.view_of_);
+    return *this;
+  }
   EventBatch(const EventBatch&) = delete;
   EventBatch& operator=(const EventBatch&) = delete;
+
+  /// An empty batch that takes no pooled storage: for a batch an owner keeps
+  /// and refills (its vectors then keep their own capacity), or a view.
+  static EventBatch Unpooled() { return EventBatch(NoStorage{}); }
+
+  /// A batch of one event: the form a per-event push takes at the edge.
+  static EventBatch Of(Event event) {
+    EventBatch b;
+    b.Add(std::move(event));
+    return b;
+  }
+
+  /// A batch holding only CTI(t): the punctuation form of a per-item push.
+  static EventBatch OfCti(Timestamp t) {
+    EventBatch b;
+    b.AddCti(t);
+    return b;
+  }
 
   /// Deep copy (used by multicast fan-out; the last sink gets the original).
   EventBatch Clone() const;
@@ -95,12 +126,10 @@ class EventBatch {
   /// a read-only fan-out plus one mutating consumer costs zero copies).
   /// Nested views collapse: a view of a view shares the original storage.
   static EventBatch View(std::shared_ptr<EventBatch> src) {
-    EventBatch v;
+    EventBatch v = Unpooled();
     v.view_of_ = src->view_of_ ? src->view_of_ : std::move(src);
     return v;
   }
-
-  bool is_view() const { return view_of_ != nullptr; }
 
   /// Detach from shared storage: steal it if uniquely referenced, deep-copy
   /// otherwise. No-op on an owning batch; every mutator calls this first.
@@ -128,14 +157,14 @@ class EventBatch {
   bool Empty() const { return NumEvents() == 0 && r().ctis_.empty(); }
   size_t NumEvents() const {
     const EventBatch& s = r();
-    return s.columnar_ ? s.payload_.num_rows() : s.events_.size();
+    return s.columnar_ ? s.payload_->num_rows() : s.events_.size();
   }
   void Clear() {
     view_of_.reset();  // dropping the reference is the whole clear for a view
     events_.clear();
     ctis_.clear();
     if (columnar_) {
-      payload_.ClearAll();
+      payload_->ClearAll();
       columnar_ = false;
     }
   }
@@ -144,33 +173,28 @@ class EventBatch {
 
   /// Switch this (empty) batch into columnar mode with the given payload
   /// schema. Subsequent events are appended with TryAppendColumnar.
-  void BeginColumnar(const Schema& payload_schema) {
-    TIMR_DCHECK(Empty());
-    view_of_.reset();  // an empty view owns nothing worth keeping
-    payload_.Begin(payload_schema);
-    columnar_ = true;
-  }
+  void BeginColumnar(const Schema& payload_schema);
 
   /// Append one event to the columnar payload; returns false (batch
   /// unchanged) if the row's dynamic types do not match the column types, in
   /// which case the producer must EnsureRows() and fall back to Add().
   bool TryAppendColumnar(Timestamp le, Timestamp re, const Row& payload) {
     TIMR_DCHECK(columnar_);
-    return payload_.TryAppend(le, re, payload);
+    return payload_->TryAppend(le, re, payload);
   }
 
   bool columnar() const { return r().columnar_; }
   ColumnarPayload& columnar_payload() {
     EnsureOwned();
-    return payload_;
+    return *payload_;
   }
-  const ColumnarPayload& columnar_payload() const { return r().payload_; }
+  const ColumnarPayload& columnar_payload() const { return *r().payload_; }
 
   /// Apply a pending selection in the columnar payload, remapping CTI marks.
   void CompactColumnar() {
     EnsureOwned();
     TIMR_DCHECK(columnar_);
-    payload_.Compact(&ctis_);
+    payload_->Compact(&ctis_);
   }
 
   /// Convert columnar → row representation in place (no-op in row mode).
@@ -180,13 +204,13 @@ class EventBatch {
   /// LE of event `i` in either representation.
   Timestamp LeAt(size_t i) const {
     const EventBatch& s = r();
-    return s.columnar_ ? s.payload_.le()[i] : s.events_[i].le;
+    return s.columnar_ ? s.payload_->le()[i] : s.events_[i].le;
   }
 
   /// LE of the last event (batch must be non-empty).
   Timestamp LastLe() const {
     const EventBatch& s = r();
-    return s.columnar_ ? s.payload_.le().back() : s.events_.back().le;
+    return s.columnar_ ? s.payload_->le().back() : s.events_.back().le;
   }
 
   std::vector<Event>& events() {
@@ -201,8 +225,8 @@ class EventBatch {
   const std::vector<CtiMark>& ctis() const { return r().ctis_; }
 
   /// Replay the batch in stream order, moving events out; leaves the batch
-  /// empty. This is the per-event fallback path (columnar batches are
-  /// materialized first).
+  /// empty (columnar batches are materialized first). CallbackSink's
+  /// per-event callbacks run on this.
   template <class EventFn, class CtiFn>
   void Drain(EventFn&& on_event, CtiFn&& on_cti) {
     EnsureRows();
@@ -220,6 +244,7 @@ class EventBatch {
   /// The single pass batched stateless operators are built on.
   template <class Fn>
   void FilterEvents(Fn&& fn) {
+    if (NumEvents() == 0) return;  // marks already sit at position 0
     EnsureOwned();
     TIMR_DCHECK(!columnar_) << "FilterEvents on a columnar batch";
     size_t w = 0;
@@ -239,13 +264,13 @@ class EventBatch {
   /// AlterLifetime CTI transform is).
   template <class Fn>
   void TransformCtis(Fn&& fn) {
+    if (r().ctis_.empty()) return;
     EnsureOwned();
     for (CtiMark& mark : ctis_) mark.t = fn(mark.t);
   }
 
-  /// Drop marks that do not advance past `*running_cti` (per-event EmitCti
-  /// drops such stale punctuations too); `*running_cti` ends at the batch's
-  /// final CTI. Returns nothing; marks end up strictly increasing.
+  /// Drop marks that do not advance past `*running_cti`; `*running_cti` ends
+  /// at the batch's final CTI, and the marks end up strictly increasing.
   void RemoveStaleCtis(Timestamp* running_cti) {
     EnsureOwned();
     size_t w = 0;
@@ -257,16 +282,29 @@ class EventBatch {
     ctis_.resize(w);
   }
 
+  /// Deep-copies `src`'s content into this empty, owning batch, reusing
+  /// this batch's capacity.
+  void CopyFrom(const EventBatch& src);
+
  private:
+  struct NoStorage {};
+  explicit EventBatch(NoStorage) {}
+
   /// The batch to read from: the shared source for a view, *this otherwise.
   const EventBatch& r() const { return view_of_ ? *view_of_ : *this; }
 
   /// Out-of-line slow path of EnsureOwned (view_of_ is non-null on entry).
   void Localize();
 
+  /// Gives this batch a columnar payload, a pooled one when free, if it has
+  /// none yet.
+  void AcquirePayload();
+
   std::vector<Event> events_;
   std::vector<CtiMark> ctis_;
-  ColumnarPayload payload_;
+  // Behind a pointer so a row batch stays small; kept, with its capacity,
+  // across Clear() and returned to its own pool.
+  std::unique_ptr<ColumnarPayload> payload_;
   bool columnar_ = false;
   /// Non-null iff this batch is a copy-on-write view (see View()). Mutually
   /// exclusive with own content: a view's own vectors stay empty until

@@ -153,36 +153,41 @@ std::optional<GroupedAggregateShape> MatchGroupedAggregate(
   return shape;
 }
 
-/// Source operator: accepts pushed events, enforces per-source ordering.
+/// Source operator: the edge where pushed input is checked before it enters
+/// the network.
 class Executor::InputNode : public UnaryOperator {
  public:
-  void OnEvent(Event event) override {
-    TIMR_CHECK(event.le >= last_le_)
-        << "source events must be pushed in non-decreasing LE order ("
-        << event.le << " after " << last_le_ << ")";
-    last_le_ = event.le;
-    CountConsumed();
-    Emit(std::move(event));
-  }
-  void OnCti(Timestamp t) override { EmitCti(t); }
-  void OnBatch(EventBatch&& batch) override {
-    // Same always-on ordering check the per-event path performs, one compare
-    // per event instead of one virtual call per event.
-    if (batch.columnar()) {
-      for (Timestamp le : batch.columnar_payload().le()) {
-        TIMR_CHECK(le >= last_le_)
-            << "source events must be pushed in non-decreasing LE order ("
-            << le << " after " << last_le_ << ")";
-        last_le_ = le;
+  explicit InputNode(std::string name) : name_(std::move(name)) {}
+
+  /// Delivers `batch`, or rejects it whole (Status::Invalid, nothing
+  /// delivered) when an event's LE is below the source's CTI so far or its
+  /// last LE, counting the batch's own CTI marks.
+  Status Push(EventBatch&& batch) {
+    Timestamp cti = last_cti_;
+    Timestamp last_le = last_le_;
+    const auto& marks = batch.ctis();
+    size_t m = 0;
+    for (size_t i = 0; i < batch.NumEvents(); ++i) {
+      for (; m < marks.size() && marks[m].pos <= i; ++m) {
+        cti = std::max(cti, marks[m].t);
       }
-    } else {
-      for (const Event& e : batch.events()) {
-        TIMR_CHECK(e.le >= last_le_)
-            << "source events must be pushed in non-decreasing LE order ("
-            << e.le << " after " << last_le_ << ")";
-        last_le_ = e.le;
+      const Timestamp le = batch.LeAt(i);
+      if (le < cti || le < last_le) {
+        return Status::Invalid(
+            "source " + name_ + ": event at LE " + std::to_string(le) +
+            (le < cti ? " is below its CTI " + std::to_string(cti)
+                      : " is below its last LE " + std::to_string(last_le)));
       }
+      last_le = le;
     }
+    for (; m < marks.size(); ++m) cti = std::max(cti, marks[m].t);
+    last_cti_ = cti;
+    last_le_ = last_le;
+    OnBatch(std::move(batch));
+    return Status::OK();
+  }
+
+  void OnBatch(EventBatch&& batch) override {
     CountConsumedN(batch.NumEvents());
     EmitBatch(std::move(batch));
   }
@@ -198,6 +203,8 @@ class Executor::InputNode : public UnaryOperator {
   const Schema& payload_schema() const { return payload_schema_; }
 
  private:
+  std::string name_;
+  Timestamp last_cti_ = kMinTime;
   Timestamp last_le_ = kMinTime;
   Schema payload_schema_;
   bool prefer_columnar_ = false;
@@ -275,7 +282,7 @@ class NetworkBuilder {
   ///
   /// A multi-consumer producer is fronted by one TeeOp that every consumer
   /// port hangs off: batches fan out as shared copy-on-write views instead of
-  /// the deep Clone-per-sink the bare Operator::EmitBatch multicast performs.
+  /// the deep Clone-per-sink the bare Operator::Deliver multicast performs.
   /// Consumers are attached to the tee in wiring order, which is exactly the
   /// order AddOutput calls happened before — delivery order (and therefore
   /// output) is bit-identical.
@@ -351,7 +358,7 @@ class NetworkBuilder {
     TIMR_RETURN_NOT_OK(node->OutputSchema().status());
     switch (node->kind) {
       case OpKind::kInput: {
-        auto op = std::make_shared<Executor::InputNode>();
+        auto op = std::make_shared<Executor::InputNode>(node->name);
         if (inputs_->count(node->name)) {
           return Status::Invalid("duplicate input name: " + node->name);
         }
@@ -500,30 +507,23 @@ Result<std::unique_ptr<Executor>> Executor::Create(const PlanNodePtr& root) {
 }
 
 Status Executor::PushEvent(const std::string& input, Event event) {
-  auto it = inputs_.find(input);
-  if (it == inputs_.end()) return Status::KeyError("no input named " + input);
-  it->second->OnEvent(std::move(event));
-  return Status::OK();
+  return PushBatch(input, EventBatch::Of(std::move(event)));
 }
 
 Status Executor::PushBatch(const std::string& input, EventBatch&& batch) {
   auto it = inputs_.find(input);
   if (it == inputs_.end()) return Status::KeyError("no input named " + input);
-  it->second->OnBatch(std::move(batch));
-  return Status::OK();
+  return it->second->Push(std::move(batch));
 }
 
 Status Executor::PushCti(const std::string& input, Timestamp t) {
-  auto it = inputs_.find(input);
-  if (it == inputs_.end()) return Status::KeyError("no input named " + input);
-  it->second->OnCti(t);
-  return Status::OK();
+  return PushBatch(input, EventBatch::OfCti(t));
 }
 
 void Executor::PushCtiAll(Timestamp t) {
   for (auto& [name, op] : inputs_) {
     (void)name;
-    op->OnCti(t);
+    TIMR_CHECK_OK(op->Push(EventBatch::OfCti(t)));
   }
 }
 
@@ -565,7 +565,7 @@ Result<std::vector<Event>> Executor::RunBatch(
   // Global LE-order merge across sources, delivered as morsels: the merged
   // stream is cut into same-source runs of at most batch_size_ events, with
   // thinned CTI marks embedded at LE advances. When a run flushes, the other
-  // sources receive one coarse OnCti at the watermark; this is sound because
+  // sources receive one coarse CTI at the watermark; this is sound because
   // the merge order guarantees their pending events all have LE >= the
   // flushed run's last LE. Every operator is CTI-granularity-invariant (that
   // is what makes output independent of batch_size_ in the first place), so
@@ -632,23 +632,24 @@ Result<std::vector<Event>> Executor::RunBatch(
         }
         append(morsel, std::move(ev));
       }
-      c.op->OnBatch(std::move(morsel));
+      TIMR_RETURN_NOT_OK(c.op->Push(std::move(morsel)));
     }
     Finish();
     return TakeOutput();
   }
   EventBatch batch;
   InputNode* batch_src = nullptr;
-  auto flush = [&]() {
-    if (batch_src == nullptr) return;
+  auto flush = [&]() -> Status {
+    if (batch_src == nullptr) return Status::OK();
     InputNode* src = batch_src;
     batch_src = nullptr;
-    src->OnBatch(std::move(batch));
+    TIMR_RETURN_NOT_OK(src->Push(std::move(batch)));
     batch = EventBatch();
     for (auto& [name, op] : inputs_) {
       (void)name;
-      if (op != src) op->OnCti(last_cti);
+      if (op != src) TIMR_RETURN_NOT_OK(op->Push(EventBatch::OfCti(last_cti)));
     }
+    return Status::OK();
   };
   while (true) {
     int pick = -1;
@@ -661,7 +662,9 @@ Result<std::vector<Event>> Executor::RunBatch(
     }
     if (pick == -1) break;
     Cursor& c = cursors[pick];
-    if (c.op != batch_src || batch.NumEvents() >= batch_size_) flush();
+    if (c.op != batch_src || batch.NumEvents() >= batch_size_) {
+      TIMR_RETURN_NOT_OK(flush());
+    }
     if (batch_src == nullptr && c.columnar) {
       batch.BeginColumnar(c.op->payload_schema());
     }
@@ -674,7 +677,7 @@ Result<std::vector<Event>> Executor::RunBatch(
     }
     append(batch, std::move(ev));
   }
-  flush();
+  TIMR_RETURN_NOT_OK(flush());
   Finish();
   return TakeOutput();
 }

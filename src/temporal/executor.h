@@ -83,16 +83,16 @@ class Executor {
   Result<std::vector<Event>> RunBatch(
       std::map<std::string, std::vector<Event>> inputs);
 
-  /// Push one event into the named source. Events per source must arrive in
-  /// non-decreasing LE order.
-  Status PushEvent(const std::string& input, Event event);
-
   /// Push a morsel (events + interleaved CTI marks) into the named source.
-  /// Equivalent to the per-item Push calls the batch expands to, but crosses
-  /// the operator network in O(1) virtual calls per operator.
+  /// Events per source must arrive in non-decreasing LE order, at or above
+  /// the source's CTI: a batch holding an event below the source's last CTI
+  /// or last LE is rejected whole with Status::Invalid.
   Status PushBatch(const std::string& input, EventBatch&& batch);
 
-  /// Advance the named source's CTI.
+  /// Push one event: a batch of one, checked like PushBatch.
+  Status PushEvent(const std::string& input, Event event);
+
+  /// Advance the named source's CTI (a CTI-only batch).
   Status PushCti(const std::string& input, Timestamp t);
 
   /// Advance every source's CTI (valid when the caller interleaves sources in

@@ -84,21 +84,13 @@ class GroupOutputOperator : public UnaryOperator {
   /// Emits every buffered event with LE < `watermark`, then CTI(watermark).
   /// Callers guarantee no group can still produce an event below it.
   void ReleaseBelow(Timestamp watermark) {
-    if (buffer_.empty() || buffer_.top().event.le >= watermark) {
-      EmitCti(watermark);
-      return;
-    }
-    // Releases are bursty (snapshot finalization frees many events at once),
-    // so drain the run into one batch and hand it downstream in a single call.
-    EventBatch out;
     while (!buffer_.empty() && buffer_.top().event.le < watermark) {
       // Safe: the entry is popped immediately, so moving out from under the
       // priority queue's const top() cannot be observed by its ordering.
-      out.Add(std::move(const_cast<Buffered&>(buffer_.top()).event));
+      Emit(std::move(const_cast<Buffered&>(buffer_.top()).event));
       buffer_.pop();
     }
-    out.AddCti(watermark);
-    EmitBatch(std::move(out));
+    EmitCti(watermark);
   }
 
  private:
@@ -163,94 +155,35 @@ class GroupApplyOp : public GroupOutputOperator {
     prototype_ = factory_(prototype_sink_.get());
   }
 
-  void OnEvent(Event event) override { RouteEvent(std::move(event), 0); }
-
   void OnBatch(EventBatch&& batch) override {
     // Columnar batches get their group-key hashes computed in one vectorized
-    // pass before any row is materialized; rows are then built only for the
-    // events themselves (the sub-plan inputs are per-event sinks).
-    if (batch.columnar()) {
-      const ColumnarPayload& p = batch.columnar_payload();
-      ComputeKeyHashes(p, key_indices_, &hash_scratch_);
-      const auto& marks = batch.ctis();
-      const size_t n = p.num_rows();
-      size_t m = 0;
-      for (size_t i = 0; i < n; ++i) {
-        for (; m < marks.size() && marks[m].pos <= i; ++m) OnCti(marks[m].t);
+    // pass; a row is then built only for each event itself.
+    const bool columnar = batch.columnar();
+    if (columnar) {
+      ComputeKeyHashes(std::as_const(batch).columnar_payload(), key_indices_,
+                       &hash_scratch_);
+    } else {
+      batch.EnsureOwned();  // row events are moved out to their groups
+    }
+    const EventBatch& in = batch;
+    const auto& marks = in.ctis();
+    size_t m = 0;
+    for (size_t i = 0; i < in.NumEvents(); ++i) {
+      for (; m < marks.size() && marks[m].pos <= i; ++m) Advance(marks[m].t);
+      if (columnar) {
+        const ColumnarPayload& p = in.columnar_payload();
         Event e;
         e.le = p.le()[i];
         e.re = p.re()[i];
         e.payload = p.MaterializeRow(i);
-        RouteEvent(std::move(e), hash_scratch_[i]);
+        Route(std::move(e), hash_scratch_[i]);
+      } else {
+        Route(std::move(batch.events()[i]), 0);
       }
-      for (; m < marks.size(); ++m) OnCti(marks[m].t);
-      batch.Clear();
-      return;
     }
-    auto& events = batch.events();
-    const auto& marks = batch.ctis();
-    size_t m = 0;
-    for (size_t i = 0; i < events.size(); ++i) {
-      for (; m < marks.size() && marks[m].pos <= i; ++m) OnCti(marks[m].t);
-      RouteEvent(std::move(events[i]), 0);
-    }
-    for (; m < marks.size(); ++m) OnCti(marks[m].t);
+    for (; m < marks.size(); ++m) Advance(marks[m].t);
     batch.Clear();
-  }
-
-  void RouteEvent(Event event, uint64_t key_hash) {
-    CountConsumed();
-    // Heterogeneous probe: the existing-group hit path (the hot one) looks up
-    // by a view over the payload's key columns without materializing a key Row.
-    auto it = groups_.find(
-        internal::KeyView{&event.payload, nullptr, 0, &key_indices_, key_hash});
-    if (it == groups_.end()) {
-      Row key = ExtractKey(event.payload, key_indices_);
-      auto sink = std::make_unique<InstanceSink>(this, key, /*proto=*/false);
-      // New instances can only emit at or above the prototype's output CTI
-      // (they will only ever see events with LE >= the pending input CTI).
-      sink->out_cti = proto_out_cti_;
-      cti_heap_.push_back({sink->out_cti, sink.get()});
-      std::push_heap(cti_heap_.begin(), cti_heap_.end(), std::greater<>());
-      auto instance = factory_(sink.get());
-      it = groups_.emplace(std::move(key),
-                           Group{std::move(instance), std::move(sink)}).first;
-    }
-    Group& group = it->second;
-    if (group.sink->delivered_cti < pending_cti_) {
-      group.sink->delivered_cti = pending_cti_;
-      group.instance->input()->OnCti(pending_cti_);
-    }
-    group.instance->input()->OnEvent(std::move(event));
-  }
-
-  void OnCti(Timestamp t) override {
-    if (t <= pending_cti_) return;
-    pending_cti_ = t;
-    prototype_->input()->OnCti(t);
-    const size_t period = std::max<size_t>(64, groups_.size());
-    if (t >= kMaxTime || ++ctis_since_broadcast_ >= period) {
-      ctis_since_broadcast_ = 0;
-      // A broadcast advances every instance at once, which would cost one
-      // O(log n) heap push per instance; instead pushes are suppressed for
-      // the sweep and the heap is rebuilt from the now-current CTIs in one
-      // O(n) make_heap — this also sheds every stale entry in the same pass.
-      in_broadcast_ = true;
-      for (auto& [key, group] : groups_) {
-        if (group.sink->delivered_cti < t) {
-          group.sink->delivered_cti = t;
-          group.instance->input()->OnCti(t);
-        }
-      }
-      in_broadcast_ = false;
-      cti_heap_.clear();
-      cti_heap_.reserve(groups_.size());
-      for (auto& [key, group] : groups_) {
-        cti_heap_.push_back({group.sink->out_cti, group.sink.get()});
-      }
-      std::make_heap(cti_heap_.begin(), cti_heap_.end(), std::greater<>());
-    }
-    Release();
+    Flush();
   }
 
  private:
@@ -262,18 +195,26 @@ class GroupApplyOp : public GroupOutputOperator {
     InstanceSink(GroupApplyOp* op_in, Row key_in, bool proto_in)
         : op(op_in), key(std::move(key_in)), proto(proto_in) {}
 
-    void OnEvent(Event event) override {
-      TIMR_DCHECK(!proto) << "prototype sub-plan instance produced an event";
-      Row out;
-      out.reserve(key.size() + event.payload.size());
-      out.insert(out.end(), key.begin(), key.end());
-      out.insert(out.end(), std::make_move_iterator(event.payload.begin()),
-                 std::make_move_iterator(event.payload.end()));
-      event.payload = std::move(out);
-      op->BufferOutput(std::move(event));
+    void OnBatch(EventBatch&& batch) override {
+      TIMR_DCHECK(!proto || batch.NumEvents() == 0)
+          << "prototype sub-plan instance produced an event";
+      batch.EnsureRows();
+      for (Event& event : batch.events()) {
+        Row out;
+        out.reserve(key.size() + event.payload.size());
+        out.insert(out.end(), key.begin(), key.end());
+        out.insert(out.end(), std::make_move_iterator(event.payload.begin()),
+                   std::make_move_iterator(event.payload.end()));
+        event.payload = std::move(out);
+        op->BufferOutput(std::move(event));
+      }
+      // Only the instance's latest output CTI matters: the watermark is read
+      // after the batch, and delivered marks strictly increase.
+      if (!batch.ctis().empty()) AdvanceTo(batch.ctis().back().t);
+      batch.Clear();
     }
 
-    void OnCti(Timestamp t) override {
+    void AdvanceTo(Timestamp t) {
       if (proto) {
         op->proto_out_cti_ = t;
         return;
@@ -296,6 +237,68 @@ class GroupApplyOp : public GroupOutputOperator {
     Timestamp delivered_cti = kMinTime;  // last input CTI pushed to instance
     Timestamp out_cti = kMinTime;        // instance's last output CTI
   };
+
+  /// Hands `event` to its group's instance as one batch: the pending CTI
+  /// (when the instance has not seen it yet), then the event.
+  void Route(Event event, uint64_t key_hash) {
+    CountConsumed();
+    // Heterogeneous probe: the existing-group hit path (the hot one) looks up
+    // by a view over the payload's key columns without materializing a key Row.
+    auto it = groups_.find(
+        internal::KeyView{&event.payload, nullptr, 0, &key_indices_, key_hash});
+    if (it == groups_.end()) {
+      Row key = ExtractKey(event.payload, key_indices_);
+      auto sink = std::make_unique<InstanceSink>(this, key, /*proto=*/false);
+      // New instances can only emit at or above the prototype's output CTI
+      // (they will only ever see events with LE >= the pending input CTI).
+      sink->out_cti = proto_out_cti_;
+      cti_heap_.push_back({sink->out_cti, sink.get()});
+      std::push_heap(cti_heap_.begin(), cti_heap_.end(), std::greater<>());
+      auto instance = factory_(sink.get());
+      it = groups_.emplace(std::move(key),
+                           Group{std::move(instance), std::move(sink)}).first;
+    }
+    Group& group = it->second;
+    if (group.sink->delivered_cti < pending_cti_) {
+      group.sink->delivered_cti = pending_cti_;
+      route_.AddCti(pending_cti_);
+    }
+    route_.Add(std::move(event));
+    Lend(group.instance->input(), route_);
+  }
+
+  /// Input CTI(t): always reaches the prototype, and every instance at each
+  /// periodic broadcast; then output is released up to the new watermark.
+  void Advance(Timestamp t) {
+    if (t <= pending_cti_) return;
+    pending_cti_ = t;
+    route_.AddCti(t);
+    Lend(prototype_->input(), route_);
+    const size_t period = std::max<size_t>(64, groups_.size());
+    if (t >= kMaxTime || ++ctis_since_broadcast_ >= period) {
+      ctis_since_broadcast_ = 0;
+      // A broadcast advances every instance at once, which would cost one
+      // O(log n) heap push per instance; instead pushes are suppressed for
+      // the sweep and the heap is rebuilt from the now-current CTIs in one
+      // O(n) make_heap — this also sheds every stale entry in the same pass.
+      in_broadcast_ = true;
+      for (auto& [key, group] : groups_) {
+        if (group.sink->delivered_cti < t) {
+          group.sink->delivered_cti = t;
+          route_.AddCti(t);
+          Lend(group.instance->input(), route_);
+        }
+      }
+      in_broadcast_ = false;
+      cti_heap_.clear();
+      cti_heap_.reserve(groups_.size());
+      for (auto& [key, group] : groups_) {
+        cti_heap_.push_back({group.sink->out_cti, group.sink.get()});
+      }
+      std::make_heap(cti_heap_.begin(), cti_heap_.end(), std::greater<>());
+    }
+    Release();
+  }
 
   void Release() {
     Timestamp watermark = proto_out_cti_;
@@ -329,11 +332,12 @@ class GroupApplyOp : public GroupOutputOperator {
   Timestamp proto_out_cti_ = kMinTime;
   // Min-heap over (output CTI, instance) with lazy deletion; entries whose
   // timestamp no longer matches their sink's out_cti are stale. Rebuilt
-  // wholesale at every broadcast (see OnCti).
+  // wholesale at every broadcast (see Advance).
   std::vector<std::pair<Timestamp, const InstanceSink*>> cti_heap_;
   bool in_broadcast_ = false;
   size_t ctis_since_broadcast_ = 0;
   std::vector<uint64_t> hash_scratch_;  // per-batch key hashes (columnar)
+  EventBatch route_ = EventBatch::Unpooled();  // what Route/Advance send
 };
 
 /// \brief GroupApply over a scalar aggregate, run as one operator instead of
@@ -372,14 +376,10 @@ class GroupedAggregateOp : public GroupOutputOperator {
     }
   }
 
-  void OnEvent(Event event) override {
-    CountConsumed();
-    Input()->OnEvent(std::move(event));
-  }
-  void OnCti(Timestamp t) override { Input()->OnCti(t); }
   void OnBatch(EventBatch&& batch) override {
     CountConsumedN(batch.NumEvents());
     Input()->OnBatch(std::move(batch));
+    Flush();
   }
 
  private:
@@ -397,14 +397,6 @@ class GroupedAggregateOp : public GroupOutputOperator {
   // The head's output: events with mapped lifetimes, and mapped CTIs.
   struct LaneInput : public EventSink {
     explicit LaneInput(GroupedAggregateOp* op_in) : op(op_in) {}
-    void OnEvent(Event e) override {
-      op->Add(op->LaneFor({&e.payload, nullptr, 0, &op->key_indices_}), e.le,
-              e.re, op->ValueOf(e.payload));
-    }
-    void OnCti(Timestamp t) override {
-      op->pending_ = std::max(op->pending_, t);
-      op->Settle();
-    }
     void OnBatch(EventBatch&& batch) override { op->RouteBatch(batch); }
     GroupedAggregateOp* op;
   };
@@ -478,7 +470,7 @@ class GroupedAggregateOp : public GroupOutputOperator {
   }
 
   void Add(Lane& lane, Timestamp le, Timestamp re, double v) {
-    if (lane.flushed < pending_) Flush(lane);
+    if (lane.flushed < pending_) FlushLane(lane);
     TIMR_DCHECK(le >= pending_) << "event arrived below the pending CTI";
     lane.sweep.Add(le, re, v);
     const Timestamp next = lane.sweep.next_boundary();
@@ -488,7 +480,7 @@ class GroupedAggregateOp : public GroupOutputOperator {
     }
   }
 
-  void Flush(Lane& lane) {
+  void FlushLane(Lane& lane) {
     lane.flushed = pending_;
     lane.sweep.Flush(pending_, kind_, [&](Timestamp le, Timestamp re, Value v) {
       if (!tail_.empty()) {
@@ -525,7 +517,7 @@ class GroupedAggregateOp : public GroupOutputOperator {
         deferred_.push_back(lane);
         continue;
       }
-      Flush(*lane);
+      FlushLane(*lane);
       lane->due = lane->sweep.next_boundary();
       if (lane->due != kMaxTime) due_.push({lane->due, lane});
     }

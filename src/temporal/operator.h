@@ -24,25 +24,32 @@ namespace timr::temporal {
 
 /// \brief Consumer of one punctuated event stream.
 ///
-/// Streams are delivered either per item (OnEvent/OnCti) or in morsels
-/// (OnBatch). A batch is by definition equivalent to the per-item call
-/// sequence it contains, and the default OnBatch replays it exactly that way
-/// — so every sink supports batches, and batched producers compose with
-/// per-event consumers for free. Hot operators override OnBatch to amortize
-/// virtual dispatch and process events in place (see stateless_ops.h).
+/// A stream reaches a sink only as morsels: OnBatch is the one entry point,
+/// and a per-event push is a batch of one built at the edge (Executor,
+/// LivePipeline). Every operator therefore has exactly one semantics, and
+/// batch-size invariance is a property of that one code path.
 class EventSink {
  public:
   virtual ~EventSink() = default;
-  virtual void OnEvent(Event event) = 0;
-  virtual void OnCti(Timestamp t) = 0;
-  virtual void OnBatch(EventBatch&& batch) {
-    batch.Drain([this](Event&& e) { OnEvent(std::move(e)); },
-                [this](Timestamp t) { OnCti(t); });
-  }
+  virtual void OnBatch(EventBatch&& batch) = 0;
 };
+
+/// Hands `batch` to `sink` and clears it for reuse. The consumer may take the
+/// storage (leaving `batch` empty) or leave it, and then `batch` keeps its
+/// capacity for the next use without taking from the batch pool.
+inline void Lend(EventSink* sink, EventBatch& batch) {
+  sink->OnBatch(std::move(batch));
+  batch.Clear();  // NOLINT(bugprone-use-after-move): lent, Clear reinitializes
+}
 
 /// \brief Base for engine operators: owns downstream wiring and enforces the
 /// ordered-emission invariant.
+///
+/// Emit/EmitCti append to one pending output morsel, which Flush hands
+/// downstream; an operator flushes once at the end of each input batch it
+/// processes. Stateless operators rewrite the input batch in place and pass
+/// it on whole with EmitBatch. Both routes meet in Deliver, the one place
+/// the emission order is checked.
 class Operator {
  public:
   virtual ~Operator() = default;
@@ -53,35 +60,43 @@ class Operator {
 
   void AddOutput(EventSink* sink) { outputs_.push_back(sink); }
 
-  /// Number of events this operator has emitted; used by throughput benches.
-  uint64_t events_emitted() const { return events_emitted_; }
   uint64_t events_consumed() const { return events_consumed_; }
 
  protected:
-  void Emit(Event event) {
-    TIMR_DCHECK(event.le >= emitted_cti_)
-        << "operator emitted event at " << event.le
-        << " after promising CTI " << emitted_cti_;
-    TIMR_DCHECK(event.le >= last_emitted_le_) << "out-of-order emission";
-    last_emitted_le_ = event.le;
-    ++events_emitted_;
-    const size_t n = outputs_.size();
-    if (n == 0) return;
-    // Copy for all but the last sink; the last takes ownership, so the common
-    // single-output chain moves payloads end to end with zero copies.
-    for (size_t i = 0; i + 1 < n; ++i) outputs_[i]->OnEvent(event);
-    outputs_[n - 1]->OnEvent(std::move(event));
+  void Emit(Event event) { pending_.Add(std::move(event)); }
+  void EmitCti(Timestamp t) {
+    if (t > emitted_cti_) pending_.AddCti(t);  // Deliver drops stale marks
   }
 
-  /// Batch form of Emit/EmitCti: validates the same discipline, updates the
-  /// same counters, and fans out with copy-for-all-but-last semantics.
+  /// Hands the pending output morsel downstream. The morsel is lent (see
+  /// Lend), so a stateful operator's output costs no batch construction.
+  void Flush() {
+    if (pending_.Empty()) return;
+    Deliver(pending_);
+    pending_.Clear();
+  }
+
+  /// Passes a whole rewritten input batch downstream (an operator that does
+  /// this emits nothing else).
   void EmitBatch(EventBatch&& batch) {
-    if (batch.Empty()) return;
-    Timestamp cti = emitted_cti_;
-    batch.RemoveStaleCtis(&cti);
+    TIMR_DCHECK(pending_.Empty()) << "EmitBatch with output pending";
+    Deliver(batch);
+  }
+
+  void CountConsumed() { ++events_consumed_; }
+  void CountConsumedN(uint64_t n) { events_consumed_ += n; }
+
+ private:
+  /// Drops stale CTI marks, checks the emission discipline, and fans out with
+  /// copy-for-all-but-last semantics.
+  void Deliver(EventBatch& batch) {
+    [[maybe_unused]] const Timestamp promised = emitted_cti_;
+    batch.RemoveStaleCtis(&emitted_cti_);
+    const size_t n = batch.NumEvents();
+    if (n == 0 && batch.ctis().empty()) return;  // nothing, or stale marks only
 #ifndef NDEBUG
     {
-      Timestamp floor = emitted_cti_;
+      Timestamp floor = promised;
       Timestamp last_le = last_emitted_le_;
       size_t m = 0;
       const auto& marks = batch.ctis();
@@ -95,34 +110,19 @@ class Operator {
       }
     }
 #endif
-    if (batch.NumEvents() != 0) {
-      last_emitted_le_ = batch.LastLe();
-      events_emitted_ += batch.NumEvents();
-    }
-    emitted_cti_ = cti;
-    if (batch.Empty()) return;  // everything was stale punctuation
-    const size_t n = outputs_.size();
-    if (n == 0) return;
-    for (size_t i = 0; i + 1 < n; ++i) outputs_[i]->OnBatch(batch.Clone());
-    outputs_[n - 1]->OnBatch(std::move(batch));
+    if (n != 0) last_emitted_le_ = batch.LastLe();
+    const size_t sinks = outputs_.size();
+    if (sinks == 0) return;
+    for (size_t i = 0; i + 1 < sinks; ++i) outputs_[i]->OnBatch(batch.Clone());
+    outputs_[sinks - 1]->OnBatch(std::move(batch));
   }
 
-  void EmitCti(Timestamp t) {
-    if (t <= emitted_cti_) return;  // CTIs must advance; drop stale ones
-    emitted_cti_ = t;
-    for (EventSink* out : outputs_) out->OnCti(t);
-  }
-
-  void CountConsumed() { ++events_consumed_; }
-  void CountConsumedN(uint64_t n) { events_consumed_ += n; }
-
-  Timestamp emitted_cti() const { return emitted_cti_; }
-
- private:
   std::vector<EventSink*> outputs_;
+  // Unpooled: an operator (say, one of many per-group sub-plan instances)
+  // holds only the capacity its own output needed.
+  EventBatch pending_ = EventBatch::Unpooled();
   Timestamp emitted_cti_ = kMinTime;
   Timestamp last_emitted_le_ = kMinTime;
-  uint64_t events_emitted_ = 0;
   uint64_t events_consumed_ = 0;
 };
 
@@ -180,25 +180,16 @@ class BinaryOperator : public Operator {
 
   struct Port : public EventSink {
     Port(BinaryOperator* op_in, int side_in) : op(op_in), side(side_in) {}
-    void OnEvent(Event event) override {
-      Push(std::move(event), 0);
-      op->Drain();
-    }
-    void OnCti(Timestamp t) override {
-      if (t <= cti) return;
-      cti = t;
-      op->Drain();
-    }
     void OnBatch(EventBatch&& batch) override {
       // Bulk-buffer the whole morsel with one Drain at the end. The merged
       // event order is unchanged (it is determined by LE / side preference /
       // FIFO alone); intermediate CTIs coarsen to the batch boundary, which
       // every operator tolerates by CTI-granularity invariance.
-      const std::vector<int>* keys = op->PortKeyIndices(side);
-      if (batch.columnar() && keys != nullptr) {
-        ComputeKeyHashes(batch.columnar_payload(), *keys, &hash_scratch);
-      } else {
-        hash_scratch.clear();
+      hash_scratch.clear();
+      if (batch.columnar()) {
+        if (const std::vector<int>* keys = op->PortKeyIndices(side)) {
+          ComputeKeyHashes(batch.columnar_payload(), *keys, &hash_scratch);
+        }
       }
       batch.EnsureRows();
       auto& events = batch.events();
@@ -267,6 +258,7 @@ class BinaryOperator : public Operator {
       ProcessWatermark(watermark);
     }
     draining_ = false;
+    Flush();
   }
 
   Port ports_[2];
@@ -278,11 +270,6 @@ class BinaryOperator : public Operator {
 /// tests to collect plan output).
 class CollectorSink : public EventSink {
  public:
-  void OnEvent(Event event) override {
-    Materialize();
-    events_.push_back(std::move(event));
-  }
-  void OnCti(Timestamp t) override { last_cti_ = t; }
   void OnBatch(EventBatch&& batch) override {
     if (!batch.ctis().empty()) last_cti_ = batch.ctis().back().t;
     if (batch.columnar()) {
@@ -326,7 +313,8 @@ class CollectorSink : public EventSink {
   Timestamp last_cti_ = kMinTime;
 };
 
-/// \brief Sink that forwards to a user callback (used for live/push mode).
+/// \brief Sink that forwards to a user callback (used for live/push mode):
+/// each batch is replayed in stream order, one call per event and per CTI.
 class CallbackSink : public EventSink {
  public:
   using EventFn = std::function<void(const Event&)>;
@@ -335,9 +323,11 @@ class CallbackSink : public EventSink {
   explicit CallbackSink(EventFn on_event, CtiFn on_cti = nullptr)
       : on_event_(std::move(on_event)), on_cti_(std::move(on_cti)) {}
 
-  void OnEvent(Event event) override { on_event_(event); }
-  void OnCti(Timestamp t) override {
-    if (on_cti_) on_cti_(t);
+  void OnBatch(EventBatch&& batch) override {
+    batch.Drain([this](Event&& e) { on_event_(e); },
+                [this](Timestamp t) {
+                  if (on_cti_) on_cti_(t);
+                });
   }
 
  private:

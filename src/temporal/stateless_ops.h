@@ -1,10 +1,10 @@
 // Stateless operators: Select (filter), Project, AlterLifetime (windowing),
 // and Passthrough (the wiring form of Multicast). Paper §II-A.2.
 //
-// All of these override OnBatch: a morsel is processed in one virtual call
-// with events rewritten in place (see EventBatch::FilterEvents), and adjacent
-// single-consumer chains of them are fused by the executor into one
-// FusedStatelessOp so a batch crosses the whole chain in a single pass.
+// Each processes a morsel in one virtual call with events rewritten in place
+// (see EventBatch::FilterEvents), and adjacent single-consumer chains of them
+// are fused by the executor into one FusedStatelessOp so a batch crosses the
+// whole chain in a single pass.
 
 #pragma once
 
@@ -28,13 +28,6 @@ class SelectOp : public UnaryOperator {
   explicit SelectOp(SelectSpec spec)
       : pred_(MakeRowPredicate(spec)), spec_(std::move(spec)) {}
 
-  void OnEvent(Event event) override {
-    CountConsumed();
-    const bool keep = spec_.has_value() ? EvalSelectRow(*spec_, event.payload)
-                                        : pred_(event.payload);
-    if (keep) Emit(std::move(event));
-  }
-  void OnCti(Timestamp t) override { EmitCti(t); }
   void OnBatch(EventBatch&& batch) override {
     CountConsumedN(batch.NumEvents());
     if (batch.columnar() && spec_.has_value()) {
@@ -67,12 +60,6 @@ class ProjectOp : public UnaryOperator {
   ProjectOp(ProjectSpec spec, const Schema& in_schema)
       : fn_(MakeRowProjector(spec, in_schema)), spec_(std::move(spec)) {}
 
-  void OnEvent(Event event) override {
-    CountConsumed();
-    event.payload = fn_(event.payload);
-    Emit(std::move(event));
-  }
-  void OnCti(Timestamp t) override { EmitCti(t); }
   void OnBatch(EventBatch&& batch) override {
     CountConsumedN(batch.NumEvents());
     if (batch.columnar() && spec_.has_value()) {
@@ -199,13 +186,6 @@ class AlterLifetimeOp : public UnaryOperator {
     TIMR_CHECK(spec_.mode != AlterLifetimeSpec::Mode::kHop || spec_.hop > 0);
   }
 
-  void OnEvent(Event event) override {
-    CountConsumed();
-    if (ApplyLifetime(spec_, event)) Emit(std::move(event));
-  }
-
-  void OnCti(Timestamp t) override { EmitCti(MapLifetimeCti(spec_, t)); }
-
   void OnBatch(EventBatch&& batch) override {
     CountConsumedN(batch.NumEvents());
     if (batch.columnar()) {
@@ -230,11 +210,6 @@ class AlterLifetimeOp : public UnaryOperator {
 /// node when a plan is executed single-node.
 class PassthroughOp : public UnaryOperator {
  public:
-  void OnEvent(Event event) override {
-    CountConsumed();
-    Emit(std::move(event));
-  }
-  void OnCti(Timestamp t) override { EmitCti(t); }
   void OnBatch(EventBatch&& batch) override {
     CountConsumedN(batch.NumEvents());
     EmitBatch(std::move(batch));
@@ -299,12 +274,6 @@ class FusedStatelessOp : public UnaryOperator {
       : steps_(std::move(steps)) {
     TIMR_CHECK(!steps_.empty());
   }
-
-  void OnEvent(Event event) override {
-    if (ApplyFrom(event, 0)) Emit(std::move(event));
-  }
-
-  void OnCti(Timestamp t) override { EmitCti(MapCtiFrom(t, 0)); }
 
   void OnBatch(EventBatch&& batch) override {
     size_t start = 0;

@@ -34,16 +34,28 @@ class HoppingUdoOp : public UnaryOperator {
     TIMR_CHECK(hop_ > 0);
   }
 
-  void OnEvent(Event event) override {
-    CountConsumed();
-    if (buffer_.empty()) {
-      // First boundary that can see this event: smallest grid point > le.
-      next_b_ = CeilToGrid(event.le + 1, hop_);
+  void OnBatch(EventBatch&& batch) override {
+    batch.EnsureRows();
+    auto& events = batch.events();
+    const auto& marks = batch.ctis();
+    size_t m = 0;
+    for (size_t i = 0; i < events.size(); ++i) {
+      for (; m < marks.size() && marks[m].pos <= i; ++m) Advance(marks[m].t);
+      CountConsumed();
+      if (buffer_.empty()) {
+        // First boundary that can see this event: smallest grid point > le.
+        next_b_ = CeilToGrid(events[i].le + 1, hop_);
+      }
+      buffer_.push_back(std::move(events[i]));
     }
-    buffer_.push_back(std::move(event));
+    for (; m < marks.size(); ++m) Advance(marks[m].t);
+    batch.Clear();
+    Flush();
   }
 
-  void OnCti(Timestamp t) override {
+ private:
+  /// CTI(t): fires every boundary b <= t that has active events.
+  void Advance(Timestamp t) {
     while (!buffer_.empty() && next_b_ <= t) {
       const Timestamp b = next_b_;
       const Timestamp wstart = b - window_;
@@ -67,7 +79,6 @@ class HoppingUdoOp : public UnaryOperator {
     EmitCti(buffer_.empty() ? t : next_b_);
   }
 
- private:
   Timestamp window_;
   Timestamp hop_;
   UdoFn fn_;

@@ -12,15 +12,8 @@ struct LivePipeline::Forwarder : public temporal::EventSink {
   Forwarder(temporal::Executor* consumer_in, std::string input_in)
       : consumer(consumer_in), input(std::move(input_in)) {}
 
-  void OnEvent(Event event) override {
-    TIMR_CHECK_OK(consumer->PushEvent(input, std::move(event)));
-  }
-  void OnCti(Timestamp t) override {
-    TIMR_CHECK_OK(consumer->PushCti(input, t));
-  }
   void OnBatch(temporal::EventBatch&& batch) override {
-    // Keep the batch intact across the executor boundary: one virtual hop
-    // into the consumer instead of one per event.
+    // Keep the batch intact across the executor boundary.
     TIMR_CHECK_OK(consumer->PushBatch(input, std::move(batch)));
   }
 
@@ -71,14 +64,7 @@ Result<std::unique_ptr<LivePipeline>> LivePipeline::Create(
 }
 
 Status LivePipeline::PushEvent(const std::string& source, Event event) {
-  auto it = source_feeds_.find(source);
-  if (it == source_feeds_.end()) {
-    return Status::KeyError("no external source named " + source);
-  }
-  for (temporal::Executor* exec : it->second) {
-    TIMR_RETURN_NOT_OK(exec->PushEvent(source, event));
-  }
-  return Status::OK();
+  return PushBatch(source, temporal::EventBatch::Of(std::move(event)));
 }
 
 Status LivePipeline::PushBatch(const std::string& source,
@@ -87,6 +73,8 @@ Status LivePipeline::PushBatch(const std::string& source,
   if (it == source_feeds_.end()) {
     return Status::KeyError("no external source named " + source);
   }
+  // Every consumer of a source sees the same pushes, so the first one's
+  // verdict on the batch is every consumer's: a rejected batch reaches none.
   auto& consumers = it->second;
   for (size_t i = 0; i + 1 < consumers.size(); ++i) {
     TIMR_RETURN_NOT_OK(consumers[i]->PushBatch(source, batch.Clone()));

@@ -36,12 +36,14 @@ class LivePipeline {
 
   ~LivePipeline();  // out-of-line: Forwarder is defined in the .cc
 
-  /// Feed one event into an external source (non-decreasing LE per source).
+  /// Feed one event into an external source: a batch of one. Events per
+  /// source arrive in non-decreasing LE order at or above the last CTI; an
+  /// event below either is rejected with Status::Invalid and reaches nothing.
   Status PushEvent(const std::string& source, temporal::Event event);
 
   /// Feed a morsel (events + CTI marks, row or columnar) into an external
-  /// source — the batched ingest path for high-rate feeds. The batch is
-  /// cloned for all consumers but the last, which takes it intact.
+  /// source, checked like PushEvent. The batch is cloned for all consumers
+  /// but the last, which takes it intact.
   Status PushBatch(const std::string& source, temporal::EventBatch&& batch);
 
   /// Advance every external source's progress marker.

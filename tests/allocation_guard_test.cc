@@ -188,8 +188,9 @@ TEST(AllocationGuard, ColumnarBatchPathIsO1AllocationsPerBatch) {
 }
 
 TEST(AllocationGuard, PerEventPathStillBoundedAfterWarmup) {
-  // Companion guard for the unbatched path: Emit's move-into-last-sink means
-  // a warm Select chain pushes a point event end to end with no allocations.
+  // Companion guard for the per-event push: PushEvent wraps the event in a
+  // batch of one from the pooled batch storage, so a warm Select chain pushes
+  // a point event end to end with no allocations.
   Schema kv = Schema::Of({{"K", ValueType::kInt64}, {"V", ValueType::kInt64}});
   Query q = Query::Input("S", kv)
                 .Where([](const Row& r) { return r[1].AsInt64() % 3 != 0; })

@@ -31,6 +31,7 @@ using framework::MakeFragments;
 using temporal::AggregateSpec;
 using temporal::ConformanceCheckOp;
 using temporal::Event;
+using temporal::EventBatch;
 using temporal::kHour;
 using temporal::OpKind;
 using temporal::PartitionSpec;
@@ -537,10 +538,10 @@ TEST(ConformanceOp, CleanStreamPassesThrough) {
   ConformanceCheckOp check("edge");
   temporal::CollectorSink sink;
   check.AddOutput(&sink);
-  check.OnEvent(Event(1, 10, {Value(1)}));
-  check.OnCti(5);
-  check.OnEvent(Event(5, 8, {Value(2)}));
-  check.OnCti(temporal::kMaxTime);
+  check.OnBatch(EventBatch::Of(Event(1, 10, {Value(1)})));
+  check.OnBatch(EventBatch::OfCti(5));
+  check.OnBatch(EventBatch::Of(Event(5, 8, {Value(2)})));
+  check.OnBatch(EventBatch::OfCti(temporal::kMaxTime));
   EXPECT_TRUE(check.violations().empty());
   EXPECT_EQ(sink.TakeEvents().size(), 2u);
 }
@@ -549,8 +550,8 @@ TEST(ConformanceOp, RecordsEventBeforeCti) {
   ConformanceCheckOp check("frag_1/input:Clicks");
   temporal::CollectorSink sink;
   check.AddOutput(&sink);
-  check.OnCti(10);
-  check.OnEvent(Event(5, 20, {Value(1)}));
+  check.OnBatch(EventBatch::OfCti(10));
+  check.OnBatch(EventBatch::Of(Event(5, 20, {Value(1)})));
   ASSERT_EQ(check.violations().size(), 1u);
   EXPECT_NE(check.violations()[0].find("precedes the last CTI"),
             std::string::npos);
@@ -562,8 +563,8 @@ TEST(ConformanceOp, RecordsEventBeforeCti) {
 
 TEST(ConformanceOp, RecordsCtiRegression) {
   ConformanceCheckOp check("edge");
-  check.OnCti(10);
-  check.OnCti(3);
+  check.OnBatch(EventBatch::OfCti(10));
+  check.OnBatch(EventBatch::OfCti(3));
   ASSERT_EQ(check.violations().size(), 1u);
   EXPECT_NE(check.violations()[0].find("CTI regressed from 10 to 3"),
             std::string::npos);
@@ -571,7 +572,12 @@ TEST(ConformanceOp, RecordsCtiRegression) {
 
 TEST(ConformanceOp, RecordsInvertedLifetime) {
   ConformanceCheckOp check("edge");
-  check.OnEvent(Event(10, 10, {Value(1)}));
+  // Member assignment: the Event constructor DCHECKs re > le.
+  Event inverted;
+  inverted.le = 10;
+  inverted.re = 10;
+  inverted.payload = {Value(1)};
+  check.OnBatch(EventBatch::Of(std::move(inverted)));
   ASSERT_EQ(check.violations().size(), 1u);
   EXPECT_NE(check.violations()[0].find("empty or inverted"),
             std::string::npos);
@@ -695,8 +701,10 @@ TEST(RunPlanValidation, RejectsCorruptedRowsAtFragmentInput) {
       << res.status().ToString();
 }
 
-// The runtime half of validate_streams, end to end through the executor: a
-// stream that violates CTI discipline inside an instrumented plan surfaces in
+// The runtime half of validate_streams, end to end through the executor. An
+// event below its source's CTI is refused at the edge (PushEvent returns
+// Status::Invalid naming the source) and so never reaches the checker; a
+// violation the edge does not police, an inverted lifetime, surfaces in
 // Executor::ConformanceViolations with the checked edge's label.
 TEST(Instrumentation, ExecutorReportsCtiViolationWithProvenance) {
   auto plan = ClickInput()
@@ -706,18 +714,24 @@ TEST(Instrumentation, ExecutorReportsCtiViolationWithProvenance) {
   auto exec = temporal::Executor::Create(instrumented);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
   ASSERT_TRUE(exec.ValueOrDie()->PushCti("Clicks", 100).ok());
-  // LE 5 < the CTI 100 just promised: a violation the InputNode itself does
-  // not police (it only checks per-source LE order).
-  ASSERT_TRUE(exec.ValueOrDie()
-                  ->PushEvent("Clicks", Event(5, 50, {Value(1), Value(2)}))
-                  .ok());
+  const Status below_cti = exec.ValueOrDie()->PushEvent(
+      "Clicks", Event(5, 50, {Value(1), Value(2)}));
+  EXPECT_EQ(below_cti.code(), StatusCode::kInvalid);
+  EXPECT_NE(below_cti.ToString().find("Clicks"), std::string::npos)
+      << below_cti.ToString();
+  Event inverted;  // member assignment: the constructor DCHECKs re > le
+  inverted.le = 120;
+  inverted.re = 110;
+  inverted.payload = {Value(1), Value(2)};
+  ASSERT_TRUE(exec.ValueOrDie()->PushEvent("Clicks", inverted).ok());
   exec.ValueOrDie()->Finish();
   const std::vector<std::string> violations =
       exec.ValueOrDie()->ConformanceViolations();
   ASSERT_EQ(violations.size(), 1u);
   EXPECT_NE(violations[0].find("frag_0/input:Clicks"), std::string::npos)
       << violations[0];
-  EXPECT_NE(violations[0].find("precedes the last CTI"), std::string::npos)
+  EXPECT_NE(violations[0].find("empty or inverted lifetime"),
+            std::string::npos)
       << violations[0];
 }
 

@@ -126,6 +126,37 @@ TEST(LivePipeline, RunsTheFullBtFeaturePipeline) {
                                    live.ValueOrDie()->TakeOutput()));
 }
 
+TEST(LivePipeline, RejectsEventBelowCtiAndStillMatchesOfflineReplay) {
+  auto clicks = MakeClicks(400, 7);
+  Query plan = TwoFragmentPlan();
+  auto live = LivePipeline::Create(plan.node());
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  std::vector<Event> accepted;
+  size_t rejected = 0;
+  for (size_t i = 0; i < clicks.size(); ++i) {
+    // Now and then the source promises progress an hour ahead of the feed;
+    // the events that then arrive inside that hour are below its CTI.
+    if (i % 100 == 99) live.ValueOrDie()->PushCti(clicks[i].le + kHour);
+    live.ValueOrDie()->PushCti(clicks[i].le);
+    const Status st = live.ValueOrDie()->PushEvent("ClickLog", clicks[i]);
+    if (st.ok()) {
+      accepted.push_back(clicks[i]);
+    } else {
+      EXPECT_EQ(st.code(), StatusCode::kInvalid) << st.ToString();
+      ++rejected;
+    }
+  }
+  live.ValueOrDie()->Finish();
+  EXPECT_GT(rejected, 0u);
+
+  mr::LocalCluster cluster(4, 2);
+  auto offline = RunPlanOnEvents(&cluster, plan.node(),
+                                 {{"ClickLog", {ClickSchema(), accepted}}});
+  ASSERT_TRUE(offline.ok()) << offline.status().ToString();
+  EXPECT_TRUE(SameTemporalRelation(offline.ValueOrDie().output,
+                                   live.ValueOrDie()->TakeOutput()));
+}
+
 TEST(LivePipeline, UnknownSourceRejected) {
   auto live = LivePipeline::Create(TwoFragmentPlan().node());
   ASSERT_TRUE(live.ok());

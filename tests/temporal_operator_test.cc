@@ -320,6 +320,54 @@ TEST(Executor, IncrementalPushMatchesBatchExecution) {
                                    exec.ValueOrDie()->TakeOutput()));
 }
 
+TEST(Executor, RejectsEventBelowSourceCti) {
+  // An event below its source's CTI is refused at the edge instead of
+  // reaching an aggregate that already finalized the snapshots it touches.
+  Query q = Query::Input("S", KV()).Window(10).Count();
+  auto exec = Executor::Create(q.node()).ValueOrDie();
+  std::vector<Event> accepted = Points({{105, {1, 0}}, {105, {1, 0}}});
+  for (const Event& e : accepted) ASSERT_TRUE(exec->PushEvent("S", e).ok());
+  ASSERT_TRUE(exec->PushCti("S", 200).ok());
+  const Status below_cti = exec->PushEvent("S", Event::Point(105, {1, 0}));
+  EXPECT_EQ(below_cti.code(), StatusCode::kInvalid) << below_cti.ToString();
+
+  // Below a CTI mark earlier in the same batch.
+  EventBatch marked;
+  marked.AddCti(300);
+  marked.Add(Event::Point(250, {1, 0}));
+  EXPECT_EQ(exec->PushBatch("S", std::move(marked)).code(),
+            StatusCode::kInvalid);
+
+  // Nothing of either rejected push was delivered or advanced the source.
+  accepted.push_back(Event::Point(250, {1, 0}));
+  ASSERT_TRUE(exec->PushEvent("S", accepted.back()).ok());
+  exec->Finish();
+  auto offline = RunQ(q, accepted);
+  ASSERT_TRUE(offline.ok());
+  EXPECT_TRUE(SameTemporalRelation(offline.ValueOrDie(), exec->TakeOutput()));
+}
+
+TEST(Executor, RejectsLeRegressionWholeBatch) {
+  Query q = Query::Input("S", KV()).Window(10).Count();
+  auto exec = Executor::Create(q.node()).ValueOrDie();
+  std::vector<Event> accepted = Points({{100, {1, 0}}});
+  ASSERT_TRUE(exec->PushEvent("S", accepted[0]).ok());
+  EXPECT_EQ(exec->PushEvent("S", Event::Point(90, {1, 0})).code(),
+            StatusCode::kInvalid);
+  // The in-order first event of a regressing batch is not delivered either.
+  EventBatch regressed;
+  regressed.Add(Event::Point(130, {1, 0}));
+  regressed.Add(Event::Point(120, {1, 0}));
+  EXPECT_EQ(exec->PushBatch("S", std::move(regressed)).code(),
+            StatusCode::kInvalid);
+  accepted.push_back(Event::Point(110, {1, 0}));
+  ASSERT_TRUE(exec->PushEvent("S", accepted.back()).ok());
+  exec->Finish();
+  auto offline = RunQ(q, accepted);
+  ASSERT_TRUE(offline.ok());
+  EXPECT_TRUE(SameTemporalRelation(offline.ValueOrDie(), exec->TakeOutput()));
+}
+
 // ---------- UDO ----------
 
 TEST(Udo, FiresOncePerBoundaryWithActiveEvents) {

@@ -620,30 +620,42 @@ std::vector<LoweringCase> LoweringCases() {
 INSTANTIATE_TEST_SUITE_P(Sweep, GroupedAggregateLowering,
                          ::testing::ValuesIn(LoweringCases()));
 
-// ---------- ConformanceCheckOp: batched == per-event on violating input ----------
+// ---------- ConformanceCheckOp: batches of one == one batch on bad input ----------
+
+// Member assignment, as EventBatch::EnsureRows does: the Event constructor
+// DCHECKs re > le, and this stream is invalid on purpose.
+Event RawEvent(Timestamp le, Timestamp re, int64_t v) {
+  Event e;
+  e.le = le;
+  e.re = re;
+  e.payload = {Value(v)};
+  return e;
+}
 
 TEST(ConformanceBatch, BatchedVerdictsMatchPerEventOnBadStream) {
   // A stream with one of each violation class: inverted lifetime, event
   // preceding the delivered CTI (twice), and a regressed CTI.
   const std::vector<Event> events = {
-      Event(5, 10, {Value(int64_t{1})}),  // good
-      Event(7, 7, {Value(int64_t{2})}),   // inverted lifetime
-      Event(6, 9, {Value(int64_t{3})}),   // precedes CTI 8
-      Event(9, 12, {Value(int64_t{4})}),  // good
-      Event(3, 20, {Value(int64_t{5})}),  // precedes CTI 8
+      RawEvent(5, 10, 1),  // good
+      RawEvent(7, 7, 2),   // inverted lifetime
+      RawEvent(6, 9, 3),   // precedes CTI 8
+      RawEvent(9, 12, 4),  // good
+      RawEvent(3, 20, 5),  // precedes CTI 8
   };
 
+  // The same stream as a sequence of batches of one (each event alone, each
+  // CTI alone) and as one batch.
   ConformanceCheckOp per_event("edge");
   CollectorSink per_event_out;
   per_event.AddOutput(&per_event_out);
-  per_event.OnEvent(events[0]);
-  per_event.OnEvent(events[1]);
-  per_event.OnCti(8);
-  per_event.OnEvent(events[2]);
-  per_event.OnEvent(events[3]);
-  per_event.OnCti(4);  // regressed
-  per_event.OnEvent(events[4]);
-  per_event.OnCti(30);
+  per_event.OnBatch(EventBatch::Of(events[0]));
+  per_event.OnBatch(EventBatch::Of(events[1]));
+  per_event.OnBatch(EventBatch::OfCti(8));
+  per_event.OnBatch(EventBatch::Of(events[2]));
+  per_event.OnBatch(EventBatch::Of(events[3]));
+  per_event.OnBatch(EventBatch::OfCti(4));  // regressed
+  per_event.OnBatch(EventBatch::Of(events[4]));
+  per_event.OnBatch(EventBatch::OfCti(30));
 
   ConformanceCheckOp batched("edge");
   CollectorSink batched_out;

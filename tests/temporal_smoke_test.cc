@@ -109,5 +109,26 @@ TEST(TemporalSmoke, AntiSemiJoinSuppressesCoveredPoints) {
   EXPECT_EQ(out.ValueOrDie()[1].payload[1].AsInt64(), 3);
 }
 
+TEST(TemporalSmoke, MovedFromColumnarBatchReadsEmpty) {
+  EventBatch batch;
+  batch.BeginColumnar(MeterSchema());
+  ASSERT_TRUE(batch.TryAppendColumnar(3, 4, {int64_t{7}, int64_t{1}}));
+  batch.AddCti(5);
+
+  EventBatch moved(std::move(batch));
+  EXPECT_TRUE(moved.columnar());
+  EXPECT_EQ(moved.NumEvents(), 1u);
+  // NOLINTBEGIN(bugprone-use-after-move): the moved-from state is the subject
+  EXPECT_FALSE(batch.columnar());
+  EXPECT_TRUE(batch.Empty());
+
+  EventBatch assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.NumEvents(), 1u);
+  EXPECT_FALSE(moved.columnar());
+  EXPECT_TRUE(moved.Empty());
+  // NOLINTEND(bugprone-use-after-move)
+}
+
 }  // namespace
 }  // namespace timr::temporal

@@ -186,10 +186,12 @@ AnalysisReport LintCtiRegression() {
   timr::temporal::ConformanceCheckOp check("corrupt/input:Clicks");
   timr::temporal::CollectorSink sink;
   check.AddOutput(&sink);
-  check.OnEvent(timr::temporal::Event(1, 10, {}));
-  check.OnCti(8);
-  check.OnEvent(timr::temporal::Event(5, 12, {}));  // LE 5 < CTI 8
-  check.OnCti(3);                                   // CTI regression
+  using timr::temporal::Event;
+  using timr::temporal::EventBatch;
+  check.OnBatch(EventBatch::Of(Event(1, 10, {})));
+  check.OnBatch(EventBatch::OfCti(8));
+  check.OnBatch(EventBatch::Of(Event(5, 12, {})));  // LE 5 < CTI 8
+  check.OnBatch(EventBatch::OfCti(3));              // CTI regression
   AnalysisReport report;
   for (const std::string& v : check.violations()) {
     timr::analysis::Diagnostic d;
