@@ -43,7 +43,7 @@ Measurement RunOnce(mr::LocalCluster* cluster, const T::PlanNodePtr& plan,
   if (armed) {
     const char* arm = std::getenv("TIMR_BENCH_ARM");
     const std::string which = arm ? arm : "all";
-    if (which == "all" || which == "ckpt") options.checkpoint = &checkpoint;
+    if (which == "all" || which == "ckpt") options.job.checkpoint = &checkpoint;
     if (which == "all" || which == "spec") {
       options.fault_tolerance.speculative_execution = true;
       // High enough that the monitor never actually launches a backup on this

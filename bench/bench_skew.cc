@@ -282,7 +282,7 @@ void BtPipelineSection() {
     store[bt::kBtInput] =
         mr::Dataset::FromRows(T::PointRowSchema(bt::UnifiedSchema()), rows);
     framework::TimrOptions options;
-    if (adaptive) options.skew = BenchSkewPolicy();
+    if (adaptive) options.job.skew = BenchSkewPolicy();
     BtRun r;
     Stopwatch host;
     auto run = framework::RunPlan(&cluster, plan, &store, options);

@@ -82,30 +82,14 @@ Status LocalCluster::RunStage(const MRStage& stage,
 }
 
 Result<JobStats> LocalCluster::RunJob(const std::vector<MRStage>& stages,
-                                      std::map<std::string, Dataset>* store) {
-  return RunJob(stages, store, JobOptions{});
-}
-
-Result<JobStats> LocalCluster::RunJob(const std::vector<MRStage>& stages,
                                       std::map<std::string, Dataset>* store,
                                       const JobOptions& options) {
   JobStats job;
-  size_t resume_from = 0;
-  if (options.checkpoint != nullptr) {
-    std::vector<std::string> names;
-    names.reserve(stages.size());
-    for (const MRStage& s : stages) names.push_back(s.name);
-    TIMR_ASSIGN_OR_RETURN(resume_from, options.checkpoint->Restore(names, store));
-    for (size_t i = 0; i < resume_from; ++i) {
-      StageStats stats;
-      stats.name = stages[i].name;
-      stats.partitions =
-          stages[i].num_partitions > 0 ? stages[i].num_partitions : num_machines_;
-      stats.rows_out = options.checkpoint->rows_out(i);
-      stats.recovered_from_checkpoint = true;
-      job.stages.push_back(std::move(stats));
-    }
-  }
+  std::vector<std::string> names;
+  names.reserve(stages.size());
+  for (const MRStage& s : stages) names.push_back(s.name);
+  TIMR_ASSIGN_OR_RETURN(const size_t resume_from,
+                        ResumeJob(names, store, options, &job));
   for (size_t i = resume_from; i < stages.size(); ++i) {
     const MRStage* stage = &stages[i];
     // Job-wide skew policy: stages with a key hash inherit it unless they set
@@ -118,28 +102,54 @@ Result<JobStats> LocalCluster::RunJob(const std::vector<MRStage>& stages,
       patched.skew = options.skew;
       stage = &patched;
     }
-    StageStats stats;
-    TIMR_RETURN_NOT_OK(RunStage(*stage, store, &stats));
-    job.stages.push_back(std::move(stats));
-    if (options.checkpoint != nullptr) {
-      std::vector<std::pair<std::string, const Dataset*>> outputs;
-      outputs.emplace_back(stage->output, &store->at(stage->output));
-      if (fault_.quarantine_inputs) {
-        const std::string qname = QuarantineDatasetName(stage->name);
-        outputs.emplace_back(qname, &store->at(qname));
-      }
-      TIMR_RETURN_NOT_OK(options.checkpoint->SaveStage(
-          i, stage->name, outputs, ConsumedInputNames(*stage)));
-    }
-    if (options.chaos_kill_after_stages >= 0 &&
-        static_cast<int>(i) + 1 >= options.chaos_kill_after_stages) {
-      return Status::ExecutionError(
-          "chaos kill: simulated driver death after stage " + stage->name +
-          " (" + std::to_string(i + 1) + " of " +
-          std::to_string(stages.size()) + " stages completed)");
-    }
+    TIMR_RETURN_NOT_OK(
+        RunJobStage(i, stages.size(), *stage, store, options, &job));
   }
   return job;
+}
+
+Result<size_t> LocalCluster::ResumeJob(
+    const std::vector<std::string>& stage_names,
+    std::map<std::string, Dataset>* store, const JobOptions& options,
+    JobStats* job) {
+  if (options.checkpoint == nullptr) return size_t{0};
+  TIMR_ASSIGN_OR_RETURN(const size_t resume_from,
+                        options.checkpoint->Restore(stage_names, store));
+  for (size_t i = 0; i < resume_from; ++i) {
+    StageStats stats;
+    stats.name = stage_names[i];
+    stats.rows_out = options.checkpoint->rows_out(i);
+    stats.recovered_from_checkpoint = true;
+    job->stages.push_back(std::move(stats));
+  }
+  return resume_from;
+}
+
+Status LocalCluster::RunJobStage(size_t index, size_t num_stages,
+                                 const MRStage& stage,
+                                 std::map<std::string, Dataset>* store,
+                                 const JobOptions& options, JobStats* job) {
+  StageStats stats;
+  TIMR_RETURN_NOT_OK(RunStage(stage, store, &stats));
+  job->stages.push_back(std::move(stats));
+  if (options.checkpoint != nullptr) {
+    std::vector<std::pair<std::string, const Dataset*>> outputs;
+    outputs.emplace_back(stage.output, &store->at(stage.output));
+    if (fault_.quarantine_inputs) {
+      const std::string qname = QuarantineDatasetName(stage.name);
+      outputs.emplace_back(qname, &store->at(qname));
+    }
+    TIMR_RETURN_NOT_OK(options.checkpoint->SaveStage(
+        index, stage.name, outputs, ConsumedInputNames(stage)));
+  }
+  if (options.chaos_kill_after_stages >= 0 &&
+      static_cast<int>(index) + 1 >= options.chaos_kill_after_stages) {
+    return Status::ExecutionError(
+        "chaos kill: simulated driver death after stage " + stage.name + " (" +
+        std::to_string(index + 1) + " of " + std::to_string(num_stages) +
+        " stages completed)");
+  }
+  return Status::OK();
 }
 
 }  // namespace timr::mr

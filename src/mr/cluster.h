@@ -146,7 +146,7 @@ struct JobOptions {
   CheckpointStore* checkpoint = nullptr;
 
   /// Chaos hook: simulate driver death after this many completed (and
-  /// checkpointed) stages — RunJob returns kExecutionError. -1 = never.
+  /// checkpointed) stages — the job returns kExecutionError. -1 = never.
   int chaos_kill_after_stages = -1;
 
   /// Job-wide adaptive repartitioning policy: applied to every stage that
@@ -227,10 +227,21 @@ class LocalCluster {
   /// Run stages in order against `store` (must already hold all external
   /// inputs); intermediate and final outputs are added to the store.
   Result<JobStats> RunJob(const std::vector<MRStage>& stages,
-                          std::map<std::string, Dataset>* store);
-  Result<JobStats> RunJob(const std::vector<MRStage>& stages,
                           std::map<std::string, Dataset>* store,
-                          const JobOptions& options);
+                          const JobOptions& options = JobOptions());
+
+  /// RunJob's two halves, for drivers that build stage i only once stages < i
+  /// have run. ResumeJob restores options.checkpoint's prefix of
+  /// `stage_names` into `store`, appends a recovered StageStats per restored
+  /// stage, and returns the index to resume from. RunJobStage runs stage
+  /// `index` of `num_stages`, appends its stats, checkpoints its outputs and
+  /// released inputs, and applies options.chaos_kill_after_stages.
+  Result<size_t> ResumeJob(const std::vector<std::string>& stage_names,
+                           std::map<std::string, Dataset>* store,
+                           const JobOptions& options, JobStats* job);
+  Status RunJobStage(size_t index, size_t num_stages, const MRStage& stage,
+                     std::map<std::string, Dataset>* store,
+                     const JobOptions& options, JobStats* job);
 
  private:
   int num_machines_;

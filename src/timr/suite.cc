@@ -1,15 +1,10 @@
 #include "timr/suite.h"
 
-#include <algorithm>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 
-#include "analysis/analyzer.h"
-#include "analysis/fragment_checks.h"
 #include "analysis/sharing.h"
 #include "temporal/convert.h"
-#include "timr/optimizer.h"
 
 namespace timr::framework {
 
@@ -103,33 +98,21 @@ Result<SuiteRunResult> RunPlanSuite(
   if (queries.empty()) {
     return Status::Invalid("RunPlanSuite: empty query list");
   }
-  const TimrOptions& topt = options.timr;
   SuiteRunResult result;
 
   // --- Per-query verification + exchange elision (same as RunPlan). -------
   std::vector<std::pair<std::string, PlanNodePtr>> roots;
   roots.reserve(queries.size());
-  {
-    std::set<std::string> names;
-    for (const auto& [name, annotated_root] : queries) {
-      if (!names.insert(name).second) {
-        return Status::Invalid("RunPlanSuite: duplicate query name: " + name);
-      }
-      if (topt.validate_streams) {
-        TIMR_RETURN_NOT_OK(analysis::VerifyPlanForExecution(annotated_root));
-      }
-      PlanNodePtr root = annotated_root;
-      if (topt.elide_redundant_exchanges) {
-        TIMR_ASSIGN_OR_RETURN(ElisionResult elision,
-                              ElideRedundantExchanges(annotated_root));
-        root = std::move(elision.plan);
-        for (std::string& e : elision.elided) {
-          result.elided_exchanges.push_back(name + ": " + std::move(e));
-        }
-      }
-      result.query_names.push_back(name);
-      roots.emplace_back(name, std::move(root));
+  std::set<std::string> names;
+  for (const auto& [name, annotated_root] : queries) {
+    if (!names.insert(name).second) {
+      return Status::Invalid("RunPlanSuite: duplicate query name: " + name);
     }
+    TIMR_ASSIGN_OR_RETURN(
+        PlanNodePtr root, VerifyAndElide(annotated_root, options.timr,
+                                         name + ": ", &result.elided_exchanges));
+    result.query_names.push_back(name);
+    roots.emplace_back(name, std::move(root));
   }
 
   // --- Merge policy: pick the shared fragments, cost-ordered. -------------
@@ -174,135 +157,21 @@ Result<SuiteRunResult> RunPlanSuite(
   // Re-derive the external flags over the *combined* fragment list: a dataset
   // another sub-plan produces (a shared fragment's output read by a query) was
   // cut as an in-place source read, but is an intermediate of the merged job.
+  // (RunFragments rejects colliding fragment names.)
   std::set<std::string> produced;
-  for (const Fragment& f : combined.fragments) {
-    if (store->count(f.name)) {
-      return Status::Invalid(
-          "RunPlanSuite: fragment dataset name collides with a store "
-          "dataset: " +
-          f.name);
-    }
-    if (!produced.insert(f.name).second) {
-      return Status::Invalid(
-          "RunPlanSuite: query names produce colliding fragment datasets: " +
-          f.name);
-    }
-  }
+  for (const Fragment& f : combined.fragments) produced.insert(f.name);
   for (Fragment& f : combined.fragments) {
     for (size_t i = 0; i < f.inputs.size(); ++i) {
       f.input_is_external[i] = produced.count(f.inputs[i]) == 0;
     }
   }
-  if (topt.validate_streams) {
-    TIMR_RETURN_NOT_OK(analysis::CheckFragments(combined).ToStatus());
-  }
 
   // Every query's output dataset must survive the whole job — the merged
   // plan has one protected output per query, not just the final fragment's.
-  const std::set<std::string> protected_outputs(query_outputs.begin(),
-                                                query_outputs.end());
-
-  cluster->set_fault_tolerance(topt.fault_tolerance);
-  cluster->set_process_options(topt.process);
-
-  // --- Checkpoint resume over the merged stage sequence. ------------------
-  size_t resume_from = 0;
-  if (topt.checkpoint != nullptr) {
-    std::vector<std::string> names;
-    names.reserve(combined.fragments.size());
-    for (const Fragment& f : combined.fragments) names.push_back(f.name);
-    TIMR_ASSIGN_OR_RETURN(resume_from, topt.checkpoint->Restore(names, store));
-    if (topt.validate_streams) {
-      TIMR_RETURN_NOT_OK(analysis::CheckCheckpointCut(combined,
-                                                      *topt.checkpoint,
-                                                      resume_from,
-                                                      protected_outputs)
-                             .ToStatus());
-    }
-  }
-
-  // --- Last-use analysis, multi-consumer aware: a shared dataset is read by
-  // several fragments and is consumable only at the highest-indexed one (the
-  // map keeps the maximum fragment index per dataset). ---------------------
-  std::map<std::string, size_t> last_use;
-  for (size_t f = 0; f < combined.fragments.size(); ++f) {
-    for (const std::string& name : combined.fragments[f].inputs) {
-      last_use[name] = f;
-    }
-  }
-
-  std::map<std::string, size_t> rows_by_stage;
-  for (size_t frag_index = 0; frag_index < combined.fragments.size();
-       ++frag_index) {
-    const Fragment& fragment = combined.fragments[frag_index];
-    if (frag_index < resume_from) {
-      mr::StageStats sstats;
-      sstats.name = fragment.name;
-      sstats.rows_out = topt.checkpoint->rows_out(frag_index);
-      sstats.recovered_from_checkpoint = true;
-      rows_by_stage[fragment.name] = sstats.rows_out;
-      result.job_stats.stages.push_back(std::move(sstats));
-      FragmentStats fstats;
-      fstats.name = fragment.name;
-      result.fragment_stats.push_back(std::move(fstats));
-      continue;
-    }
-    std::vector<Schema> row_schemas;
-    std::vector<const mr::Dataset*> datasets;
-    for (const std::string& name : fragment.inputs) {
-      auto it = store->find(name);
-      if (it == store->end()) {
-        return Status::KeyError("RunPlanSuite: dataset not found: " + name);
-      }
-      row_schemas.push_back(it->second.schema());
-      datasets.push_back(&it->second);
-    }
-    std::pair<temporal::Timestamp, temporal::Timestamp> range{0, 0};
-    if (fragment.key.kind == temporal::PartitionSpec::Kind::kTemporal) {
-      TIMR_ASSIGN_OR_RETURN(range, ScanTimeRange(datasets));
-    }
-    FragmentStats fstats;
-    TIMR_ASSIGN_OR_RETURN(
-        mr::MRStage stage,
-        CompileFragment(fragment, row_schemas, cluster->num_machines(), topt,
-                        range, &fstats));
-    for (size_t i = 0; i < fragment.inputs.size(); ++i) {
-      const std::string& name = fragment.inputs[i];
-      if (!fragment.input_is_external[i] && last_use.at(name) == frag_index &&
-          protected_outputs.count(name) == 0) {
-        stage.consumable_inputs.push_back(static_cast<int>(i));
-      }
-    }
-    if (topt.validate_streams) {
-      TIMR_RETURN_NOT_OK(
-          analysis::CheckStage(combined, frag_index, stage, protected_outputs)
-              .ToStatus());
-    }
-    mr::StageStats sstats;
-    TIMR_RETURN_NOT_OK(cluster->RunStage(stage, store, &sstats));
-    rows_by_stage[fragment.name] = sstats.rows_out;
-    fstats.engine_events_consumed =
-        fstats.engine_events ? fstats.engine_events->load() : 0;
-    result.job_stats.stages.push_back(std::move(sstats));
-    result.fragment_stats.push_back(std::move(fstats));
-    if (topt.checkpoint != nullptr) {
-      std::vector<std::pair<std::string, const mr::Dataset*>> outputs;
-      outputs.emplace_back(stage.output, &store->at(stage.output));
-      if (topt.fault_tolerance.quarantine_inputs) {
-        const std::string qname = mr::QuarantineDatasetName(stage.name);
-        outputs.emplace_back(qname, &store->at(qname));
-      }
-      TIMR_RETURN_NOT_OK(topt.checkpoint->SaveStage(
-          frag_index, stage.name, outputs, mr::ConsumedInputNames(stage)));
-    }
-    if (topt.chaos_kill_after_stages >= 0 &&
-        static_cast<int>(frag_index) + 1 >= topt.chaos_kill_after_stages) {
-      return Status::ExecutionError(
-          "chaos kill: simulated driver death after fragment " + fragment.name +
-          " (" + std::to_string(frag_index + 1) + " of " +
-          std::to_string(combined.fragments.size()) + " fragments completed)");
-    }
-  }
+  TIMR_RETURN_NOT_OK(RunFragments(
+      cluster, combined,
+      std::set<std::string>(query_outputs.begin(), query_outputs.end()), store,
+      options.timr, &result.job_stats, &result.fragment_stats));
   result.num_stages = combined.fragments.size();
 
   // --- Shared-fragment accounting. ----------------------------------------
@@ -320,7 +189,9 @@ Result<SuiteRunResult> RunPlanSuite(
         }
       }
     }
-    s.rows_out = rows_by_stage.count(s.dataset) ? rows_by_stage[s.dataset] : 0;
+    for (const mr::StageStats& stage : result.job_stats.stages) {
+      if (stage.name == s.dataset) s.rows_out = stage.rows_out;
+    }
     if (s.num_consumers >= 2) result.rows_executed_once += s.rows_out;
     result.shared.push_back(std::move(s));
   }

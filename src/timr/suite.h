@@ -35,8 +35,8 @@
 namespace timr::framework {
 
 struct SuiteOptions {
-  /// Per-stage execution knobs, identical in meaning to RunPlan's. The
-  /// checkpoint / chaos-kill fields apply to the merged DAG's stage sequence.
+  /// Execution options, as for RunPlan (both run through RunFragments);
+  /// timr.job applies to the merged DAG's stage sequence.
   TimrOptions timr;
 
   /// Master switch for the rewrite. Off, the suite still runs as one merged

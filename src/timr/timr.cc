@@ -114,9 +114,9 @@ Result<mr::MRStage> CompileFragment(
     // routing for any n). Temporal and singleton fragments never set
     // key_hash_fn and are never split.
     stage.key_hash_fn = mr::MakeKeyHasher(std::move(key_indices));
-    stage.skew = options.skew;
+    stage.skew = options.job.skew;
     stage.skew.adaptive_repartition =
-        options.skew.adaptive_repartition || fragment.key.adaptive_split;
+        options.job.skew.adaptive_repartition || fragment.key.adaptive_split;
   }
 
   // --- Reduce phase: the paper's P (row pump) around P' (embedded engine). ---
@@ -209,26 +209,41 @@ Result<std::pair<Timestamp, Timestamp>> ScanTimeRange(
   return std::make_pair(lo, hi);
 }
 
-Result<TimrRunResult> RunPlan(mr::LocalCluster* cluster,
-                              const temporal::PlanNodePtr& annotated_root,
-                              std::map<std::string, mr::Dataset>* store,
-                              const TimrOptions& options) {
-  TimrRunResult result;
+Result<temporal::PlanNodePtr> VerifyAndElide(
+    const temporal::PlanNodePtr& annotated_root, const TimrOptions& options,
+    const std::string& label, std::vector<std::string>* elided) {
   // Fail fast on malformed plans: the static passes name the offending node,
   // while a bad run would surface as wrong output or a deep engine abort.
   if (options.validate_streams) {
     TIMR_RETURN_NOT_OK(analysis::VerifyPlanForExecution(annotated_root));
   }
-  temporal::PlanNodePtr root = annotated_root;
-  if (options.elide_redundant_exchanges) {
-    TIMR_ASSIGN_OR_RETURN(ElisionResult elision,
-                          ElideRedundantExchanges(annotated_root));
-    root = std::move(elision.plan);
-    result.elided_exchanges = std::move(elision.elided);
+  if (!options.elide_redundant_exchanges) return annotated_root;
+  TIMR_ASSIGN_OR_RETURN(ElisionResult elision,
+                        ElideRedundantExchanges(annotated_root));
+  for (std::string& e : elision.elided) elided->push_back(label + e);
+  return std::move(elision.plan);
+}
+
+Status RunFragments(mr::LocalCluster* cluster, const FragmentedPlan& plan,
+                    const std::set<std::string>& protected_outputs,
+                    std::map<std::string, mr::Dataset>* store,
+                    const TimrOptions& options, mr::JobStats* job_stats,
+                    std::vector<FragmentStats>* fragment_stats) {
+  const std::vector<Fragment>& fragments = plan.fragments;
+  // A fragment writes its output under its own name: a source or another
+  // fragment of the same name would be overwritten mid-job, or read as the
+  // wrong dataset.
+  std::vector<std::string> names;
+  std::set<std::string> produced;
+  for (const Fragment& f : fragments) {
+    if (store->count(f.name) != 0 || !produced.insert(f.name).second) {
+      return Status::Invalid("TiMR: fragment dataset name is already taken: " +
+                             f.name);
+    }
+    names.push_back(f.name);
   }
-  TIMR_ASSIGN_OR_RETURN(result.fragments, MakeFragments(root));
   if (options.validate_streams) {
-    TIMR_RETURN_NOT_OK(analysis::CheckFragments(result.fragments).ToStatus());
+    TIMR_RETURN_NOT_OK(analysis::CheckFragments(plan).ToStatus());
   }
 
   cluster->set_fault_tolerance(options.fault_tolerance);
@@ -237,47 +252,37 @@ Result<TimrRunResult> RunPlan(mr::LocalCluster* cluster,
   // Resume: replay checkpointed fragment outputs (and input releases) into
   // the store and skip the restored prefix. The store must hold the plan's
   // external sources again, exactly as for a fresh run.
-  size_t resume_from = 0;
-  if (options.checkpoint != nullptr) {
-    std::vector<std::string> names;
-    names.reserve(result.fragments.fragments.size());
-    for (const Fragment& f : result.fragments.fragments) names.push_back(f.name);
-    TIMR_ASSIGN_OR_RETURN(resume_from, options.checkpoint->Restore(names, store));
-    if (options.validate_streams) {
-      // The restored prefix must be a valid cut of *this* plan: same stage
-      // names at the same cuts, and no released dataset still needed past
-      // the resume point (invariant "checkpoint-cut").
-      TIMR_RETURN_NOT_OK(analysis::CheckCheckpointCut(result.fragments,
-                                                      *options.checkpoint,
-                                                      resume_from)
-                             .ToStatus());
-    }
+  TIMR_ASSIGN_OR_RETURN(
+      const size_t resume_from,
+      cluster->ResumeJob(names, store, options.job, job_stats));
+  if (options.job.checkpoint != nullptr && options.validate_streams) {
+    // The restored prefix must be a valid cut of *this* plan: same stage
+    // names at the same cuts, and no released dataset still needed past
+    // the resume point (invariant "checkpoint-cut").
+    TIMR_RETURN_NOT_OK(analysis::CheckCheckpointCut(plan,
+                                                    *options.job.checkpoint,
+                                                    resume_from,
+                                                    protected_outputs)
+                           .ToStatus());
   }
 
   // Last-use analysis for copy-free routing: an intermediate dataset (an
   // upstream fragment's output) that no later fragment reads again can be
   // *consumed* by its final reader — the shuffle then moves its rows instead
-  // of copying them and releases the dataset's partitions. External sources
-  // and the plan's output dataset are never consumed.
+  // of copying them and releases the dataset's partitions. A dataset read by
+  // several fragments is consumable only at the highest-indexed one; external
+  // sources and protected outputs are never consumed.
   std::map<std::string, size_t> last_use;
-  for (size_t f = 0; f < result.fragments.fragments.size(); ++f) {
-    for (const std::string& name : result.fragments.fragments[f].inputs) {
-      last_use[name] = f;
-    }
+  for (size_t f = 0; f < fragments.size(); ++f) {
+    for (const std::string& name : fragments[f].inputs) last_use[name] = f;
   }
 
-  for (size_t frag_index = 0; frag_index < result.fragments.fragments.size();
-       ++frag_index) {
-    const Fragment& fragment = result.fragments.fragments[frag_index];
+  for (size_t frag_index = 0; frag_index < fragments.size(); ++frag_index) {
+    const Fragment& fragment = fragments[frag_index];
+    FragmentStats fstats;
+    fstats.name = fragment.name;
     if (frag_index < resume_from) {
-      mr::StageStats sstats;
-      sstats.name = fragment.name;
-      sstats.rows_out = options.checkpoint->rows_out(frag_index);
-      sstats.recovered_from_checkpoint = true;
-      result.job_stats.stages.push_back(std::move(sstats));
-      FragmentStats fstats;
-      fstats.name = fragment.name;
-      result.fragment_stats.push_back(std::move(fstats));
+      fragment_stats->push_back(std::move(fstats));
       continue;
     }
     // Resolve input row schemas from the (evolving) store.
@@ -295,7 +300,6 @@ Result<TimrRunResult> RunPlan(mr::LocalCluster* cluster,
     if (fragment.key.kind == PartitionSpec::Kind::kTemporal) {
       TIMR_ASSIGN_OR_RETURN(range, ScanTimeRange(datasets));
     }
-    FragmentStats fstats;
     TIMR_ASSIGN_OR_RETURN(
         mr::MRStage stage,
         CompileFragment(fragment, row_schemas, cluster->num_machines(), options,
@@ -303,40 +307,37 @@ Result<TimrRunResult> RunPlan(mr::LocalCluster* cluster,
     for (size_t i = 0; i < fragment.inputs.size(); ++i) {
       const std::string& name = fragment.inputs[i];
       if (!fragment.input_is_external[i] && last_use.at(name) == frag_index &&
-          name != result.fragments.output_dataset) {
+          protected_outputs.count(name) == 0) {
         stage.consumable_inputs.push_back(static_cast<int>(i));
       }
     }
     if (options.validate_streams) {
-      TIMR_RETURN_NOT_OK(
-          analysis::CheckStage(result.fragments, frag_index, stage).ToStatus());
+      TIMR_RETURN_NOT_OK(analysis::CheckStage(plan, frag_index, stage,
+                                              protected_outputs)
+                             .ToStatus());
     }
-    mr::StageStats sstats;
-    TIMR_RETURN_NOT_OK(cluster->RunStage(stage, store, &sstats));
-    fstats.engine_events_consumed =
-        fstats.engine_events ? fstats.engine_events->load() : 0;
-    result.job_stats.stages.push_back(std::move(sstats));
-    result.fragment_stats.push_back(std::move(fstats));
-    if (options.checkpoint != nullptr) {
-      std::vector<std::pair<std::string, const mr::Dataset*>> outputs;
-      outputs.emplace_back(stage.output, &store->at(stage.output));
-      if (options.fault_tolerance.quarantine_inputs) {
-        const std::string qname = mr::QuarantineDatasetName(stage.name);
-        outputs.emplace_back(qname, &store->at(qname));
-      }
-      TIMR_RETURN_NOT_OK(options.checkpoint->SaveStage(
-          frag_index, stage.name, outputs, mr::ConsumedInputNames(stage)));
-    }
-    if (options.chaos_kill_after_stages >= 0 &&
-        static_cast<int>(frag_index) + 1 >= options.chaos_kill_after_stages) {
-      return Status::ExecutionError(
-          "chaos kill: simulated driver death after fragment " + fragment.name +
-          " (" + std::to_string(frag_index + 1) + " of " +
-          std::to_string(result.fragments.fragments.size()) +
-          " fragments completed)");
-    }
+    TIMR_RETURN_NOT_OK(cluster->RunJobStage(frag_index, fragments.size(),
+                                            stage, store, options.job,
+                                            job_stats));
+    fstats.engine_events_consumed = fstats.engine_events->load();
+    fragment_stats->push_back(std::move(fstats));
   }
+  return Status::OK();
+}
 
+Result<TimrRunResult> RunPlan(mr::LocalCluster* cluster,
+                              const temporal::PlanNodePtr& annotated_root,
+                              std::map<std::string, mr::Dataset>* store,
+                              const TimrOptions& options) {
+  TimrRunResult result;
+  TIMR_ASSIGN_OR_RETURN(
+      temporal::PlanNodePtr root,
+      VerifyAndElide(annotated_root, options, "", &result.elided_exchanges));
+  TIMR_ASSIGN_OR_RETURN(result.fragments, MakeFragments(root));
+  TIMR_RETURN_NOT_OK(RunFragments(cluster, result.fragments,
+                                  {result.fragments.output_dataset}, store,
+                                  options, &result.job_stats,
+                                  &result.fragment_stats));
   const mr::Dataset& out = store->at(result.fragments.output_dataset);
   TIMR_ASSIGN_OR_RETURN(result.output,
                         temporal::EventsFromRows(out.schema(), out.Gather()));

@@ -5,7 +5,7 @@
 // Pipeline (paper Figure 5):
 //   annotated CQ plan --MakeFragments--> {fragment, key} pairs
 //                     --CompileFragment--> M-R stages
-//                     --LocalCluster::RunJob--> output dataset
+//                     --LocalCluster::ResumeJob/RunJobStage--> output dataset
 //
 // Each stage's reducer is the paper's P: it converts partition rows to point
 // (or interval) events, pumps them through a freshly instantiated embedded
@@ -18,6 +18,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -79,19 +80,6 @@ struct TimrOptions {
   /// paths.
   bool assume_sorted_shuffle = true;
 
-  /// Adaptive skew-aware repartitioning (mr/stage.h, ROADMAP 5(b)): when
-  /// skew.adaptive_repartition is on, every keyed-exchange stage detects hot
-  /// keys from a sampled sketch and splits partitions exceeding
-  /// skew.skew_ratio_threshold across skew.hot_key_fanout salted virtual
-  /// partitions, coalescing outputs back in canonical order. Valid because a
-  /// keyed fragment is per-key decomposable and hash(key) % n co-locates each
-  /// key for any n (the §III-A exchange-placement invariant); temporal and
-  /// singleton fragments are never split. Output is equivalent up to row
-  /// order within a partition (bit-identical whenever nothing splits, and
-  /// bit-identical across thread counts / retries / chaos always). A plan may
-  /// also opt in per exchange via PartitionSpec::adaptive_split.
-  mr::SkewPolicy skew;
-
   /// Fault-tolerance policy for the run — retry budget, speculative
   /// execution, poison-row quarantine (mr/fault.h). RunPlan installs it on
   /// the cluster with set_fault_tolerance, replacing whatever was there.
@@ -104,14 +92,12 @@ struct TimrOptions {
   /// cluster with set_process_options, replacing whatever was there.
   mr::ProcessOptions process;
 
-  /// When set, every completed fragment's outputs are checkpointed here and
-  /// RunPlan resumes past the longest already-checkpointed prefix, producing
-  /// bit-identical final output (mr/checkpoint.h). Not owned.
-  mr::CheckpointStore* checkpoint = nullptr;
-
-  /// Chaos hook: simulate driver death after this many completed (and
-  /// checkpointed) fragments — RunPlan returns kExecutionError. -1 = never.
-  int chaos_kill_after_stages = -1;
+  /// Job-level options for the fragment stage sequence, as mr::JobOptions
+  /// defines them for RunJob: checkpoint/resume (not owned), the chaos hook,
+  /// and the job-wide skew policy. job.skew splits keyed exchanges only, never
+  /// temporal or singleton fragments; a plan may also opt in per exchange via
+  /// PartitionSpec::adaptive_split.
+  mr::JobOptions job;
 };
 
 struct FragmentStats {
@@ -148,6 +134,26 @@ Result<mr::MRStage> CompileFragment(
     int default_partitions, const TimrOptions& options,
     std::pair<temporal::Timestamp, temporal::Timestamp> time_range,
     FragmentStats* stats);
+
+/// Verify `annotated_root` for execution (when options.validate_streams) and
+/// elide its redundant exchanges (when options.elide_redundant_exchanges),
+/// appending one description per elision to `elided`, each prefixed with
+/// `label`. Returns the plan to cut into fragments.
+Result<temporal::PlanNodePtr> VerifyAndElide(
+    const temporal::PlanNodePtr& annotated_root, const TimrOptions& options,
+    const std::string& label, std::vector<std::string>* elided);
+
+/// The job loop behind RunPlan and RunPlanSuite: restore options.job's
+/// checkpointed prefix, then compile each remaining fragment (only once its
+/// inputs exist: a temporal one needs their time range) and run it through
+/// LocalCluster::RunJobStage. `store` must hold the plan's external sources
+/// and nothing named like a fragment; `protected_outputs` are never released.
+/// Appends one StageStats and one FragmentStats per fragment.
+Status RunFragments(mr::LocalCluster* cluster, const FragmentedPlan& plan,
+                    const std::set<std::string>& protected_outputs,
+                    std::map<std::string, mr::Dataset>* store,
+                    const TimrOptions& options, mr::JobStats* job_stats,
+                    std::vector<FragmentStats>* fragment_stats);
 
 /// Run an annotated plan over the datasets in `store` (external sources in
 /// point layout: [Time, payload...]). Intermediate datasets are added to the

@@ -159,7 +159,7 @@ TEST(ExchangePlacement, RejectsKeysOutsideGroupingKey) {
   ASSERT_TRUE(HasErrorContaining(report, "exchange-placement", "subset"))
       << report.ToString();
   // The diagnostic names both the offending exchange and the constraining op.
-  const Diagnostic& d = report.ForCheck("exchange-placement")[0];
+  const Diagnostic d = report.ForCheck("exchange-placement")[0];
   EXPECT_NE(d.subject.find("{AdId}"), std::string::npos) << d.ToString();
   EXPECT_NE(d.message.find("GroupApply{UserId}"), std::string::npos)
       << d.ToString();

@@ -62,7 +62,7 @@ struct BtRun {
 struct BtRunConfig {
   int num_threads = 0;  // 0 = hardware
   mr::FaultInjector* injector = nullptr;
-  framework::TimrOptions options;  // fault_tolerance / checkpoint / chaos kill
+  framework::TimrOptions options;  // fault_tolerance / job (checkpoint, kill)
   /// Workload to generate (default: SmallWorkload(); tests exercising skew
   /// pass SkewedWorkload(...)).
   workload::GeneratorConfig workload = SmallWorkload();

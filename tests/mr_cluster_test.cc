@@ -19,12 +19,15 @@
 #include <string>
 #include <vector>
 
+#include "bt/queries.h"
+#include "bt/suite_runner.h"
 #include "bt_test_util.h"
 #include "common/rng.h"
 #include "mr/checkpoint.h"
 #include "mr/cluster.h"
 #include "mr/driver.h"
 #include "mr/fault.h"
+#include "timr/suite.h"
 
 namespace timr::mr {
 namespace {
@@ -1254,11 +1257,11 @@ TEST(Chaos, AdaptiveSkewBtJobBitIdenticalUnderChaos) {
   ASSERT_TRUE(off.status.ok()) << off.status.ToString();
 
   testutil::BtRunConfig on_cfg = off_cfg;
-  on_cfg.options.skew.adaptive_repartition = true;
-  on_cfg.options.skew.skew_ratio_threshold = 2.0;
-  on_cfg.options.skew.hot_key_fanout = 4;
-  on_cfg.options.skew.min_partition_rows = 64;
-  on_cfg.options.skew.sample_shift = 3;
+  on_cfg.options.job.skew.adaptive_repartition = true;
+  on_cfg.options.job.skew.skew_ratio_threshold = 2.0;
+  on_cfg.options.job.skew.hot_key_fanout = 4;
+  on_cfg.options.job.skew.min_partition_rows = 64;
+  on_cfg.options.job.skew.sample_shift = 3;
   testutil::BtRun clean = testutil::RunBtJob(on_cfg);
   ASSERT_TRUE(clean.status.ok()) << clean.status.ToString();
   int splits = 0;
@@ -1305,8 +1308,8 @@ TEST(Chaos, ResumeAfterKillBetweenEveryPairOfStages) {
         ChaosInjector injector(FaultPlan::AllKinds(seed, 0.12, 0.01));
         testutil::BtRunConfig cfg;
         cfg.injector = &injector;
-        cfg.options.checkpoint = checkpoint.get();
-        cfg.options.chaos_kill_after_stages = kill_after;
+        cfg.options.job.checkpoint = checkpoint.get();
+        cfg.options.job.chaos_kill_after_stages = kill_after;
         testutil::BtRun killed = testutil::RunBtJob(cfg);
         ASSERT_FALSE(killed.status.ok()) << "kill_after=" << kill_after;
         EXPECT_NE(killed.status.message().find("chaos kill"),
@@ -1319,7 +1322,7 @@ TEST(Chaos, ResumeAfterKillBetweenEveryPairOfStages) {
       ChaosInjector injector(FaultPlan::AllKinds(seed, 0.12, 0.01));
       testutil::BtRunConfig cfg;
       cfg.injector = &injector;
-      cfg.options.checkpoint = checkpoint.get();
+      cfg.options.job.checkpoint = checkpoint.get();
       testutil::BtRun resumed = testutil::RunBtJob(cfg);
       ASSERT_TRUE(resumed.status.ok())
           << "kill_after=" << kill_after << ": " << resumed.status.ToString();
@@ -1332,6 +1335,110 @@ TEST(Chaos, ResumeAfterKillBetweenEveryPairOfStages) {
     }
   }
   std::filesystem::remove_all(dir);
+}
+
+// Killed after its last stage, a job leaves a complete checkpoint: the resume
+// restores every stage, runs none, and must still audit the restored cut and
+// reproduce the clean output and store exactly.
+TEST(Chaos, ResumeFromCompleteCheckpoint) {
+  {
+    SCOPED_TRACE("RunJob");
+    const Dataset input = BigData(2000);
+    const auto stages = ThreeStageJob();
+    LocalCluster cluster(4, 2);
+    std::map<std::string, Dataset> clean_store;
+    clean_store["in"] = input;
+    ASSERT_TRUE(cluster.RunJob(stages, &clean_store).ok());
+
+    CheckpointStore checkpoint;
+    JobOptions opts;
+    opts.checkpoint = &checkpoint;
+    opts.chaos_kill_after_stages = static_cast<int>(stages.size());
+    std::map<std::string, Dataset> store;
+    store["in"] = input;
+    auto killed = cluster.RunJob(stages, &store, opts);
+    ASSERT_FALSE(killed.ok());
+    EXPECT_NE(killed.status().message().find("chaos kill"), std::string::npos);
+    ASSERT_EQ(checkpoint.num_stages(), stages.size());
+
+    JobOptions resume_opts;
+    resume_opts.checkpoint = &checkpoint;
+    std::map<std::string, Dataset> resumed_store;
+    resumed_store["in"] = input;
+    auto resumed = cluster.RunJob(stages, &resumed_store, resume_opts);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    ASSERT_EQ(resumed.ValueOrDie().stages.size(), stages.size());
+    for (const StageStats& s : resumed.ValueOrDie().stages) {
+      EXPECT_TRUE(s.recovered_from_checkpoint) << s.name;
+    }
+    ExpectStoreEquals(clean_store, resumed_store);
+  }
+  {
+    SCOPED_TRACE("RunPlan");
+    testutil::BtRun clean = testutil::RunBtJob(0);
+    const size_t num_stages = clean.stats.stages.size();
+    CheckpointStore checkpoint;
+    testutil::BtRunConfig cfg;
+    cfg.options.job.checkpoint = &checkpoint;
+    cfg.options.job.chaos_kill_after_stages = static_cast<int>(num_stages);
+    testutil::BtRun killed = testutil::RunBtJob(cfg);
+    ASSERT_FALSE(killed.status.ok());
+    EXPECT_NE(killed.status.message().find("chaos kill"), std::string::npos);
+    ASSERT_EQ(checkpoint.num_stages(), num_stages);
+
+    testutil::BtRunConfig resume;
+    resume.options.job.checkpoint = &checkpoint;
+    testutil::BtRun resumed = testutil::RunBtJob(resume);
+    ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
+    ASSERT_EQ(resumed.stats.stages.size(), num_stages);
+    for (const StageStats& s : resumed.stats.stages) {
+      EXPECT_TRUE(s.recovered_from_checkpoint) << s.name;
+    }
+    testutil::ExpectEventsIdentical(clean.output, resumed.output);
+    testutil::ExpectStoresBitIdentical(clean.store, resumed.store);
+  }
+  {
+    SCOPED_TRACE("RunPlanSuite");
+    const auto queries = bt::BtCqSuite(testutil::SmallBtConfig());
+    const auto log = workload::GenerateBtLog(testutil::SmallWorkload());
+    auto run = [&](const framework::SuiteOptions& options,
+                   std::map<std::string, Dataset>* store) {
+      LocalCluster cluster(/*num_machines=*/8);
+      EXPECT_TRUE(bt::LoadBtSuiteStore(log.events, store).ok());
+      return framework::RunPlanSuite(&cluster, queries, store, options);
+    };
+    std::map<std::string, Dataset> clean_store;
+    auto clean = run(framework::SuiteOptions(), &clean_store);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    const size_t num_stages = clean.ValueOrDie().num_stages;
+
+    CheckpointStore checkpoint;
+    framework::SuiteOptions opts;
+    opts.timr.job.checkpoint = &checkpoint;
+    opts.timr.job.chaos_kill_after_stages = static_cast<int>(num_stages);
+    std::map<std::string, Dataset> store;
+    auto killed = run(opts, &store);
+    ASSERT_FALSE(killed.ok());
+    EXPECT_NE(killed.status().message().find("chaos kill"), std::string::npos);
+    ASSERT_EQ(checkpoint.num_stages(), num_stages);
+
+    framework::SuiteOptions resume_opts;
+    resume_opts.timr.job.checkpoint = &checkpoint;
+    std::map<std::string, Dataset> resumed_store;
+    auto resumed = run(resume_opts, &resumed_store);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    ASSERT_EQ(resumed.ValueOrDie().job_stats.stages.size(), num_stages);
+    for (const StageStats& s : resumed.ValueOrDie().job_stats.stages) {
+      EXPECT_TRUE(s.recovered_from_checkpoint) << s.name;
+    }
+    const auto& clean_outputs = clean.ValueOrDie().outputs;
+    const auto& resumed_outputs = resumed.ValueOrDie().outputs;
+    ASSERT_EQ(clean_outputs.size(), resumed_outputs.size());
+    for (size_t q = 0; q < clean_outputs.size(); ++q) {
+      testutil::ExpectEventsIdentical(clean_outputs[q], resumed_outputs[q]);
+    }
+    testutil::ExpectStoresBitIdentical(clean_store, resumed_store);
+  }
 }
 
 }  // namespace

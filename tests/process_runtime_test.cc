@@ -210,11 +210,11 @@ TEST(MultiProcess, SharedSuiteWithAdaptiveSkewBitIdentical) {
   };
 
   framework::SuiteOptions skew;
-  skew.timr.skew.adaptive_repartition = true;
-  skew.timr.skew.skew_ratio_threshold = 2.0;
-  skew.timr.skew.hot_key_fanout = 4;
-  skew.timr.skew.min_partition_rows = 64;
-  skew.timr.skew.sample_shift = 3;
+  skew.timr.job.skew.adaptive_repartition = true;
+  skew.timr.job.skew.skew_ratio_threshold = 2.0;
+  skew.timr.job.skew.hot_key_fanout = 4;
+  skew.timr.job.skew.min_partition_rows = 64;
+  skew.timr.job.skew.sample_shift = 3;
 
   auto in_process = run_suite(skew);
   ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
@@ -249,8 +249,8 @@ TEST(MultiProcess, CheckpointKillAndResumeBitIdentical) {
   {
     testutil::BtRunConfig cfg;
     cfg.options.process.workers = 2;
-    cfg.options.checkpoint = &checkpoint;
-    cfg.options.chaos_kill_after_stages = 2;
+    cfg.options.job.checkpoint = &checkpoint;
+    cfg.options.job.chaos_kill_after_stages = 2;
     testutil::BtRun killed = testutil::RunBtJob(cfg);
     ASSERT_FALSE(killed.status.ok());
     EXPECT_NE(killed.status.message().find("chaos kill"), std::string::npos);
@@ -259,7 +259,7 @@ TEST(MultiProcess, CheckpointKillAndResumeBitIdentical) {
 
   testutil::BtRunConfig resume;
   resume.options.process.workers = 2;
-  resume.options.checkpoint = &checkpoint;
+  resume.options.job.checkpoint = &checkpoint;
   testutil::BtRun resumed = testutil::RunBtJob(resume);
   ASSERT_TRUE(resumed.status.ok()) << resumed.status.ToString();
   testutil::ExpectEventsIdentical(clean.output, resumed.output);

@@ -209,8 +209,8 @@ TEST(SharedSuite, KillAndResumeBitIdentical) {
   mr::CheckpointStore checkpoint;
   {
     SuiteOptions opts;
-    opts.timr.checkpoint = &checkpoint;
-    opts.timr.chaos_kill_after_stages = num_stages / 2;
+    opts.timr.job.checkpoint = &checkpoint;
+    opts.timr.job.chaos_kill_after_stages = num_stages / 2;
     auto killed = RunSuite(queries, opts);
     ASSERT_FALSE(killed.ok());
     EXPECT_NE(killed.status().message().find("chaos kill"), std::string::npos);
@@ -218,7 +218,7 @@ TEST(SharedSuite, KillAndResumeBitIdentical) {
   ASSERT_EQ(checkpoint.num_stages(), static_cast<size_t>(num_stages / 2));
 
   SuiteOptions opts;
-  opts.timr.checkpoint = &checkpoint;
+  opts.timr.job.checkpoint = &checkpoint;
   auto resumed = RunSuite(queries, opts);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   int recovered = 0;
@@ -250,11 +250,11 @@ TEST(SharedSuite, AdaptiveSkewOnOffBitIdentical) {
   ASSERT_TRUE(off.ok()) << off.status().ToString();
 
   SuiteOptions skew;
-  skew.timr.skew.adaptive_repartition = true;
-  skew.timr.skew.skew_ratio_threshold = 2.0;
-  skew.timr.skew.hot_key_fanout = 4;
-  skew.timr.skew.min_partition_rows = 64;
-  skew.timr.skew.sample_shift = 3;
+  skew.timr.job.skew.adaptive_repartition = true;
+  skew.timr.job.skew.skew_ratio_threshold = 2.0;
+  skew.timr.job.skew.hot_key_fanout = 4;
+  skew.timr.job.skew.min_partition_rows = 64;
+  skew.timr.job.skew.sample_shift = 3;
   auto on = run_suite(skew);
   ASSERT_TRUE(on.ok()) << on.status().ToString();
 

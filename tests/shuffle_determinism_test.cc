@@ -156,11 +156,11 @@ TEST(ShuffleDeterminism, ReducerRetryUnderParallelShuffleIsRepeatable) {
 /// Skew policy that reliably triggers splits on the small Zipf workload.
 framework::TimrOptions AdaptiveSkewOptions() {
   framework::TimrOptions options;
-  options.skew.adaptive_repartition = true;
-  options.skew.skew_ratio_threshold = 2.0;
-  options.skew.hot_key_fanout = 4;
-  options.skew.min_partition_rows = 64;
-  options.skew.sample_shift = 3;
+  options.job.skew.adaptive_repartition = true;
+  options.job.skew.skew_ratio_threshold = 2.0;
+  options.job.skew.hot_key_fanout = 4;
+  options.job.skew.min_partition_rows = 64;
+  options.job.skew.sample_shift = 3;
   return options;
 }
 
@@ -227,7 +227,7 @@ TEST(ShuffleDeterminism, AdaptiveSkewOnOffProduceTheSameRelation) {
   // small log crosses min_partition_rows, no split happens, and the run is
   // bit-for-bit the policy-off run.
   testutil::BtRunConfig noop_cfg = off_cfg;
-  noop_cfg.options.skew.adaptive_repartition = true;
+  noop_cfg.options.job.skew.adaptive_repartition = true;
   BtRun noop = RunBtJob(noop_cfg);
   ASSERT_TRUE(noop.status.ok()) << noop.status.ToString();
   for (const auto& s : noop.stats.stages) {

@@ -255,5 +255,40 @@ TEST(TimrExec, TwoFragmentPipeline) {
       SameTemporalRelation(single.ValueOrDie(), dist.ValueOrDie().output));
 }
 
+// A source named like one of the plan's fragments ("frag_1") would be
+// overwritten by that fragment's output mid-job and read back as the wrong
+// dataset. The run must refuse it, with or without stream validation.
+TEST(TimrExec, SourceNamedLikeAFragmentIsRejected) {
+  auto clicks = MakeClicks(2000, 24 * kHour, 8, /*seed=*/5);
+  Query input = Query::Input("frag_1", ClickSchema());
+  Query filtered =
+      input.Exchange(PartitionSpec::ByKeys({"UserId"}))
+          .WhereCmp("AdId", temporal::CmpOp::kLt, Value(int64_t{3}))
+          .Exchange(PartitionSpec::ByKeys({"UserId"}));
+  Query plan =
+      Query::Union(filtered, input.Exchange(PartitionSpec::ByKeys({"UserId"})));
+  auto frags = MakeFragments(plan.node());
+  ASSERT_TRUE(frags.ok()) << frags.status().ToString();
+  bool named_like_a_fragment = false;
+  for (const Fragment& f : frags.ValueOrDie().fragments) {
+    named_like_a_fragment |= f.name == "frag_1";
+  }
+  ASSERT_TRUE(named_like_a_fragment);
+
+  for (bool validate : {false, true}) {
+    SCOPED_TRACE(validate ? "validate_streams" : "no validation");
+    TimrOptions options;
+    options.validate_streams = validate;
+    mr::LocalCluster cluster(4, 2);
+    auto dist = RunPlanOnEvents(&cluster, plan.node(),
+                                {{"frag_1", {ClickSchema(), clicks}}}, options);
+    ASSERT_FALSE(dist.ok());
+    EXPECT_EQ(dist.status().code(), StatusCode::kInvalid)
+        << dist.status().ToString();
+    EXPECT_NE(dist.status().message().find("frag_1"), std::string::npos)
+        << dist.status().ToString();
+  }
+}
+
 }  // namespace
 }  // namespace timr::framework

@@ -515,7 +515,7 @@ void PrintTargetJson(std::ostream& os, const LintTarget& target,
 /// exposure. Lists every keyed exchange and whether it opts into adaptive
 /// skew-aware splitting; keyed exchanges without a split policy get a note —
 /// they are exactly the shuffles one hot key can stall, and enabling
-/// TimrOptions::skew (job-wide) or PartitionSpec::adaptive_split (per
+/// TimrOptions::job.skew (job-wide) or PartitionSpec::adaptive_split (per
 /// exchange) mitigates that without changing output bytes.
 std::string BuildSkewReportJson() {
   std::ostringstream os;
@@ -542,7 +542,7 @@ std::string BuildSkewReportJson() {
          << (node->exchange.adaptive_split ? "true" : "false");
       if (!node->exchange.adaptive_split) {
         os << ", \"note\": \"keyed exchange without a split policy: one hot "
-              "key serializes this shuffle; enable TimrOptions::skew or "
+              "key serializes this shuffle; enable TimrOptions::job.skew or "
               "PartitionSpec::adaptive_split to mitigate\"";
       }
       os << "}";
