@@ -332,11 +332,10 @@ Query BtFeaturePipeline(const BtQueryConfig& config, Annotation annotation) {
     input = input.Exchange(PartitionSpec::ByKeys({kColUserId}));
   }
   Query clean = BotElimination(input, config);
-  // Only GenTrainData reads the cleaned stream through the {UserId} exchange,
-  // which materializes it at a fragment boundary. FeatureScores gets `clean`
-  // without that exchange, so its per-ad totals land in a fragment of their
-  // own that reads BtLog and runs BotElimination (the per-user bot detector)
-  // a second time: the standard plan computes the bot list twice.
+  // GenTrainData reads the cleaned stream through the {UserId} exchange,
+  // which materializes it as a fragment. FeatureScores gets the same `clean`
+  // node without that exchange, so its per-ad fragment reads that dataset
+  // under {UserId} (MakeFragments): BotElimination runs once, over BtLog.
   Query clean_by_user =
       annotation != Annotation::kNone
           ? clean.Exchange(PartitionSpec::ByKeys({kColUserId}))

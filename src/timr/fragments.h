@@ -44,6 +44,12 @@ struct FragmentedPlan {
 /// A fragment whose traversal reaches external kInput leaves directly (with no
 /// interposed exchange) reads those sources "in place"; if the fragment has a
 /// key, the M-R map phase partitions the raw rows by it.
+///
+/// Each sub-plan is computed once: a fragment reaching, without an exchange, a
+/// node another fragment materializes (an exchange's child) reads that
+/// fragment's dataset under its key, unless the key is temporal (span-clipped
+/// rows). Fragments come in depth-first run order, so a dataset read by
+/// several fragments dies at its last reader.
 Result<FragmentedPlan> MakeFragments(const temporal::PlanNodePtr& annotated_root);
 
 }  // namespace timr::framework

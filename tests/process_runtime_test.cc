@@ -379,6 +379,17 @@ TEST(ProcsChaos, BtJobBitIdenticalUnderSeededProcessChaos) {
     GTEST_SKIP() << "process mode unsupported in this build";
   }
   testutil::BtRun clean = testutil::RunBtJob(0);
+  // The job's first stage writes the bot-free stream and two later stages
+  // read it, so worker deaths also land between a dataset's two readers.
+  auto cut = framework::MakeFragments(
+      bt::BtFeaturePipeline(testutil::SmallBtConfig(), bt::Annotation::kStandard)
+          .node());
+  ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+  std::map<std::string, int> readers;
+  for (const framework::Fragment& f : cut.ValueOrDie().fragments) {
+    for (const std::string& input : f.inputs) ++readers[input];
+  }
+  EXPECT_EQ(readers[cut.ValueOrDie().fragments.front().name], 2);
 
   int total_recoveries = 0;
   for (uint64_t seed : ChaosSeeds()) {

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "bt/queries.h"
+#include "bt/schema.h"
 #include "common/rng.h"
 #include "mr/cluster.h"
 #include "temporal/convert.h"
@@ -70,6 +72,103 @@ TEST(TimrFragments, ConflictingKeysRejected) {
   EXPECT_FALSE(frags.ok());
 }
 
+// A per-ad running count under an {AdId} exchange, so it is materialized as a
+// fragment. The fragment that keeps the busy ads reaches the same count node
+// without an exchange.
+Query SharedCountPlan(bool annotated) {
+  auto exchange = [annotated](Query q) {
+    return annotated ? q.Exchange(PartitionSpec::ByKeys({"AdId"})) : q;
+  };
+  Query counts =
+      exchange(Query::Input("ClickLog", ClickSchema()))
+          .GroupApply({"AdId"},
+                      [](Query g) { return g.Window(6 * kHour).Count("Cnt"); });
+  Query busy = counts.WhereCmp("Cnt", temporal::CmpOp::kGt, Value(int64_t{2}));
+  return Query::TemporalJoin(exchange(counts), exchange(busy), {"AdId"},
+                             {"AdId"});
+}
+
+bool HasGroupApply(const temporal::PlanNodePtr& root) {
+  for (const temporal::PlanNode* n : temporal::CollectNodes(root)) {
+    if (n->kind == temporal::OpKind::kGroupApply) return true;
+  }
+  return false;
+}
+
+TEST(TimrFragments, MaterializedSubPlanIsReadNotRecomputed) {
+  auto cut = MakeFragments(SharedCountPlan(true).node());
+  ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+  const std::vector<Fragment>& frags = cut.ValueOrDie().fragments;
+  ASSERT_EQ(frags.size(), 3u);
+  // Exactly one fragment computes the count, and only it reads the log.
+  const Fragment* producer = nullptr;
+  for (const Fragment& f : frags) {
+    if (!HasGroupApply(f.root)) continue;
+    ASSERT_EQ(producer, nullptr) << "count computed by two fragments";
+    producer = &f;
+  }
+  ASSERT_NE(producer, nullptr);
+  for (const Fragment& f : frags) {
+    for (const std::string& input : f.inputs) {
+      EXPECT_TRUE(input != "ClickLog" || &f == producer) << f.name;
+    }
+  }
+  // The busy-ad fragment reads the producer's dataset under its key.
+  const Fragment& reader = frags[1];
+  ASSERT_NE(&reader, producer);
+  EXPECT_EQ(reader.inputs, std::vector<std::string>{producer->name});
+  EXPECT_EQ(reader.input_is_external, std::vector<bool>{false});
+  EXPECT_EQ(reader.key.keys, std::vector<std::string>{"AdId"});
+
+  auto clicks = MakeClicks(2000, 2 * 24 * kHour, 20, /*seed=*/19);
+  auto single = Executor::Execute(SharedCountPlan(false).node(),
+                                  {{"ClickLog", clicks}});
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  mr::LocalCluster cluster(8, 2);
+  auto dist = RunPlanOnEvents(&cluster, SharedCountPlan(true).node(),
+                              {{"ClickLog", {ClickSchema(), clicks}}});
+  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
+  EXPECT_GT(dist.ValueOrDie().output.size(), 0u);
+  EXPECT_TRUE(
+      SameTemporalRelation(single.ValueOrDie(), dist.ValueOrDie().output));
+}
+
+// Reading a materialized node brings its producer's key along, so a reader
+// that also sits above an exchange on another key breaks footnote 1 just as
+// the recomputed copy did.
+TEST(TimrFragments, ReaderKeyConflictingWithProducerKeyRejected) {
+  const PartitionSpec by_ad = PartitionSpec::ByKeys({"AdId"});
+  Query counts =
+      Query::Input("ClickLog", ClickSchema())
+          .Exchange(by_ad)
+          .GroupApply({"AdId"},
+                      [](Query g) { return g.Window(6 * kHour).Count("Cnt"); });
+  Query other = Query::Input("Other", counts.schema())
+                    .Exchange(PartitionSpec::ByKeys({"Cnt"}));
+  Query mixed = Query::Union(counts, other);
+  Query plan = Query::Union(counts.Exchange(by_ad), mixed.Exchange(by_ad));
+  auto cut = MakeFragments(plan.node());
+  ASSERT_FALSE(cut.ok());
+  EXPECT_EQ(cut.status().code(), StatusCode::kInvalid);
+  EXPECT_NE(cut.status().message().find("conflicting partitioning keys"),
+            std::string::npos)
+      << cut.status().ToString();
+}
+
+// The standard BT plan computes the bot-free stream once: one fragment reads
+// the log, and the per-ad totals read that fragment's output.
+TEST(TimrFragments, BtStandardReadsTheLogFromOneFragment) {
+  auto cut = MakeFragments(
+      bt::BtFeaturePipeline(bt::BtQueryConfig(), bt::Annotation::kStandard)
+          .node());
+  ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+  int log_readers = 0;
+  for (const Fragment& f : cut.ValueOrDie().fragments) {
+    for (const std::string& input : f.inputs) log_readers += input == bt::kBtInput;
+  }
+  EXPECT_EQ(log_readers, 1);
+}
+
 TEST(TimrExec, MatchesSingleNodeExecution) {
   auto clicks = MakeClicks(2000, 2 * 24 * kHour, 20, /*seed=*/42);
 
@@ -108,6 +207,40 @@ TEST(TimrExec, TemporalPartitioningMatchesSingleNode) {
                               {{"ClickLog", {ClickSchema(), clicks}}});
   ASSERT_TRUE(dist.ok()) << dist.status().ToString();
   EXPECT_GT(dist.ValueOrDie().job_stats.stages[0].partitions, 1);
+  EXPECT_TRUE(
+      SameTemporalRelation(single.ValueOrDie(), dist.ValueOrDie().output));
+}
+
+// A temporally partitioned producer reached in place by a fragment whose
+// window re-times the count's events. Keyless sliding count: every exchange
+// partitions by time spans, with overlap for both windows.
+TEST(TimrExec, TemporalProducerReachedInPlaceMatchesSingleNode) {
+  auto clicks = MakeClicks(3000, 24 * kHour, 5, /*seed=*/23);
+  const Timestamp w = 30 * 60;
+  auto build = [w](bool annotated) {
+    const PartitionSpec spans = PartitionSpec::ByTime(2 * kHour, 2 * w);
+    auto exchange = [&](Query q) { return annotated ? q.Exchange(spans) : q; };
+    Query counts =
+        exchange(Query::Input("ClickLog", ClickSchema())).Window(w).Count("Cnt");
+    Query busy = counts.WhereCmp("Cnt", temporal::CmpOp::kGt, Value(int64_t{3}))
+                     .Window(w)
+                     .Count("Cnt");
+    return Query::Union(exchange(counts), exchange(busy));
+  };
+  auto single = Executor::Execute(build(false).node(), {{"ClickLog", clicks}});
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  mr::LocalCluster cluster(8, 2);
+  auto dist = RunPlanOnEvents(&cluster, build(true).node(),
+                              {{"ClickLog", {ClickSchema(), clicks}}});
+  ASSERT_TRUE(dist.ok()) << dist.status().ToString();
+  EXPECT_GT(dist.ValueOrDie().job_stats.stages[0].partitions, 1);
+  // Span-clipped rows would split the count's events under the second
+  // window, so the busy fragment recomputes the count from the log.
+  int log_readers = 0;
+  for (const Fragment& f : dist.ValueOrDie().fragments.fragments) {
+    for (const std::string& input : f.inputs) log_readers += input == "ClickLog";
+  }
+  EXPECT_EQ(log_readers, 2);
   EXPECT_TRUE(
       SameTemporalRelation(single.ValueOrDie(), dist.ValueOrDie().output));
 }

@@ -34,6 +34,10 @@
 // rejected with a diagnostic naming the offending node; everything else
 // (including the full BT pipeline in all annotation modes) must pass.
 //
+// Each plan target also reports how many fragments of its cut read each
+// external source (JSON: "source_readers"). bt_standard must read BtLog from
+// one fragment: a second reader recomputes the bot-free stream.
+//
 // The allowlist file holds one "<target>:<subject>" entry per line ('#'
 // comments); it acknowledges known row-path fallbacks (e.g. the z-score
 // Project, which needs TwoProportionZ) so any *new* degradation fails CI.
@@ -44,6 +48,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -81,6 +86,7 @@ struct LintTarget {
   std::string description;
   bool expect_errors;
   std::function<AnalysisReport()> run;
+  std::function<PlanNodePtr()> plan = nullptr;  // set for plan targets
 };
 
 const Schema kClickSchema = Schema::Of({{"UserId", ValueType::kInt64},
@@ -358,6 +364,53 @@ AnalysisReport LintPlanAndFragments(const PlanNodePtr& plan) {
   return report;
 }
 
+/// How many fragments of `plan`'s cut read each external source (empty when
+/// the cut fails; the fragment-cut check reports that).
+std::map<std::string, size_t> SourceReaders(const PlanNodePtr& plan) {
+  std::map<std::string, size_t> readers;
+  auto cut = timr::framework::MakeFragments(plan);
+  if (!cut.ok()) return readers;
+  for (const auto& f : cut.ValueOrDie().fragments) {
+    for (size_t i = 0; i < f.inputs.size(); ++i) {
+      if (f.input_is_external[i]) ++readers[f.inputs[i]];
+    }
+  }
+  return readers;
+}
+
+/// An error per source read by more than `limit` fragments: each extra
+/// reader recomputes a sub-plan over the source.
+AnalysisReport CheckSourceReaders(const PlanNodePtr& plan, size_t limit) {
+  AnalysisReport report;
+  for (const auto& [source, n] : SourceReaders(plan)) {
+    if (n <= limit) continue;
+    report.diagnostics.push_back(timr::analysis::Diagnostic{
+        Severity::kError, nullptr, source, "source-reads",
+        "read by " + std::to_string(n) + " fragments (limit " +
+            std::to_string(limit) + "): a sub-plan over it is computed more "
+            "than once"});
+  }
+  return report;
+}
+
+/// Seeded corruption: one per-ad count built twice, as a tree instead of a
+/// shared node, so two fragments each read Clicks and compute the count.
+PlanNodePtr RecomputedSource() {
+  auto counts = [] {
+    return ClickInput()
+        .Exchange(PartitionSpec::ByKeys({"AdId"}))
+        .GroupApply({"AdId"},
+                    [](Query g) { return g.Window(6 * kHour).Count("Cnt"); });
+  };
+  Query busy = counts().WhereCmp("Cnt", timr::temporal::CmpOp::kGt,
+                                 timr::Value(int64_t{2}));
+  return Query::TemporalJoin(
+             counts().Exchange(PartitionSpec::ByKeys({"AdId"})),
+             busy.Exchange(PartitionSpec::ByKeys({"AdId"})), {"AdId"},
+             {"AdId"})
+      .node();
+}
+
 PlanNodePtr BtPipeline(timr::bt::Annotation annotation) {
   return timr::bt::BtFeaturePipeline(timr::bt::BtQueryConfig(), annotation)
       .node();
@@ -373,18 +426,30 @@ PlanNodePtr BtOptimized() {
 
 std::vector<LintTarget> Registry() {
   std::vector<LintTarget> targets;
+  // `max_source_readers` > 0 caps the fragments reading any one source.
   auto add_plan = [&](std::string name, std::string description,
-                      bool expect_errors, std::function<PlanNodePtr()> make) {
+                      bool expect_errors, std::function<PlanNodePtr()> make,
+                      size_t max_source_readers = 0) {
     targets.push_back(LintTarget{
         std::move(name), std::move(description), expect_errors,
-        [make = std::move(make)] { return LintPlanAndFragments(make()); }});
+        [make, max_source_readers] {
+          const PlanNodePtr plan = make();
+          AnalysisReport report = LintPlanAndFragments(plan);
+          if (max_source_readers > 0) {
+            report.Absorb(CheckSourceReaders(plan, max_source_readers));
+          }
+          return report;
+        },
+        make});
   };
   add_plan("running_click_count", "paper Example 1 with its {AdId} exchange",
            false, RunningClickCount);
   add_plan("two_fragment", "two stacked keyed fragments", false,
            TwoFragmentPipeline);
+  // The standard plan computes the bot-free stream once: one BtLog reader.
   add_plan("bt_standard", "full BT pipeline, optimizer-style annotation",
-           false, [] { return BtPipeline(timr::bt::Annotation::kStandard); });
+           false, [] { return BtPipeline(timr::bt::Annotation::kStandard); },
+           /*max_source_readers=*/1);
   add_plan("bt_naive", "full BT pipeline, Example 3's naive annotation", false,
            [] { return BtPipeline(timr::bt::Annotation::kNaive); });
   add_plan("bt_unannotated", "full BT pipeline, single-node form", false,
@@ -400,6 +465,9 @@ std::vector<LintTarget> Registry() {
   add_plan("corrupt_split_exchange",
            "adaptive_split on a temporal exchange (no lossless coalesce)",
            true, CorruptSplitExchange);
+  add_plan("corrupt_recomputed_source",
+           "a sub-plan built twice reads its source from two fragments", true,
+           RecomputedSource, /*max_source_readers=*/1);
   targets.push_back(LintTarget{
       "corrupt_cyclic_fragments", "fragment DAG not in topological order",
       true, [] {
@@ -498,8 +566,17 @@ void PrintTargetJson(std::ostream& os, const LintTarget& target,
      << ", \"as_expected\": " << (out.as_expected ? "true" : "false")
      << ", \"errors\": " << report.error_count()
      << ", \"warnings\": " << report.warning_count()
-     << ", \"unallowlisted_columnar\": " << out.gate_failures
-     << ", \"diagnostics\": [";
+     << ", \"unallowlisted_columnar\": " << out.gate_failures;
+  if (target.plan) {
+    os << ", \"source_readers\": {";
+    bool first = true;
+    for (const auto& [source, n] : SourceReaders(target.plan())) {
+      os << (first ? "" : ", ") << "\"" << JsonEscape(source) << "\": " << n;
+      first = false;
+    }
+    os << "}";
+  }
+  os << ", \"diagnostics\": [";
   for (size_t i = 0; i < report.diagnostics.size(); ++i) {
     const auto& d = report.diagnostics[i];
     if (i > 0) os << ", ";
@@ -664,7 +741,13 @@ int RunTargets(const std::vector<LintTarget>& targets,
     std::cout << (ok ? "PASS" : "FAIL") << "  " << target.name << " ("
               << report.error_count() << " error(s), "
               << report.warning_count() << " warning(s)"
-              << (target.expect_errors ? ", errors expected" : "") << ")\n";
+              << (target.expect_errors ? ", errors expected" : "") << ")";
+    if (target.plan) {
+      for (const auto& [source, n] : SourceReaders(target.plan())) {
+        std::cout << " " << source << " read by " << n << " fragment(s)";
+      }
+    }
+    std::cout << "\n";
     if (!names.empty() || !ok) {
       for (const auto& d : report.diagnostics) {
         const bool allowed =
