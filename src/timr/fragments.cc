@@ -1,7 +1,7 @@
 #include "timr/fragments.h"
 
 #include <optional>
-#include <unordered_map>
+#include <set>
 #include <unordered_set>
 
 namespace timr::framework {
@@ -18,27 +18,91 @@ bool SpecEqual(const PartitionSpec& a, const PartitionSpec& b) {
          a.overlap == b.overlap;
 }
 
+void PostOrder(const PlanNode* node, std::unordered_set<const PlanNode*>* seen,
+               std::vector<const PlanNode*>* out) {
+  if (!seen->insert(node).second) return;
+  for (const PlanNodePtr& c : node->children) PostOrder(c.get(), seen, out);
+  out->push_back(node);
+}
+
 class FragmentCutter {
  public:
-  Result<FragmentedPlan> Cut(const PlanNodePtr& root) {
-    // Every non-source child of an exchange is materialized as a fragment.
-    for (const PlanNode* n : temporal::CollectNodes(root)) {
-      if (n->kind == OpKind::kExchange &&
-          n->children[0]->kind != OpKind::kInput) {
-        materialized_.insert(n->children[0].get());
-      }
-    }
+  explicit FragmentCutter(
+      const std::unordered_map<const PlanNode*, std::string>& names)
+      : names_(names) {}
+
+  Result<FragmentedPlan> Cut(const std::vector<PlanNodePtr>& roots) {
+    TIMR_RETURN_NOT_OK(PlanCut(roots));
     FragmentedPlan out;
-    TIMR_ASSIGN_OR_RETURN(std::string final_name, BuildFragment(root, &out));
+    for (const PlanNodePtr& root : roots) {
+      TIMR_RETURN_NOT_OK(BuildFragment(root, &out).status());
+    }
     out.fragments = RunOrder(std::move(out.fragments));
-    // The final fragment writes the job output dataset.
-    TIMR_CHECK(!out.fragments.empty());
-    TIMR_CHECK(out.fragments.back().name == final_name);
-    out.output_dataset = final_name;
+    out.output_dataset = out.fragments.back().name;
     return out;
   }
 
  private:
+  /// Decides the cut before any fragment is built: every node's key, then
+  /// which nodes root a fragment (the rule in fragments.h).
+  Status PlanCut(const std::vector<PlanNodePtr>& roots) {
+    std::vector<const PlanNode*> order;  // children before parents
+    std::unordered_set<const PlanNode*> seen;
+    for (const PlanNodePtr& root : roots) {
+      if (root->kind == OpKind::kExchange) {
+        return Status::Invalid("plan root must not be an exchange operator");
+      }
+      PostOrder(root.get(), &seen, &order);
+      materialized_.insert(root.get());
+    }
+    for (const PlanNode* n : order) {
+      std::optional<PartitionSpec>& key = key_[n];
+      if (n->kind == OpKind::kExchange) {
+        key = n->exchange;
+        continue;
+      }
+      for (const PlanNodePtr& c : n->children) {
+        const std::optional<PartitionSpec>& spec = key_.at(c.get());
+        if (!spec.has_value()) continue;
+        if (key.has_value() && !SpecEqual(*key, *spec)) {
+          return Status::Invalid(
+              "fragment fed by exchanges with conflicting partitioning keys: " +
+              key->ToString() + " vs " + spec->ToString() +
+              " (paper footnote 1 requires them to be identical)");
+        }
+        key = spec;
+      }
+    }
+    // Parents first: by the time a node comes up, every fragment reaching it
+    // without an exchange is known.
+    std::unordered_map<const PlanNode*, std::set<const PlanNode*>> reached;
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      const PlanNode* n = *it;
+      if (n->kind == OpKind::kExchange) {
+        const PlanNode* child = n->children[0].get();
+        if (child->kind != OpKind::kInput) materialized_.insert(child);
+        continue;
+      }
+      // The fragments that copy `n` into their plan: its readers, or only
+      // its own fragment when they read its dataset instead.
+      std::set<const PlanNode*>& entering = reached[n];
+      if (entering.size() >= 2 && !Temporal(n)) materialized_.insert(n);
+      if (materialized_.count(n) != 0) {
+        if (!Temporal(n)) entering.clear();
+        entering.insert(n);
+      }
+      for (const PlanNodePtr& c : n->children) {
+        reached[c.get()].insert(entering.begin(), entering.end());
+      }
+    }
+    return Status::OK();
+  }
+
+  bool Temporal(const PlanNode* node) const {
+    const std::optional<PartitionSpec>& key = key_.at(node);
+    return key.has_value() && key->kind == PartitionSpec::Kind::kTemporal;
+  }
+
   /// Builds the fragment rooted at `node` (which must NOT itself be an
   /// exchange), appends it (after its dependencies) to out->fragments, and
   /// returns its name.
@@ -47,15 +111,16 @@ class FragmentCutter {
     if (memo != fragment_memo_.end()) return memo->second;
 
     Fragment frag;
-    frag.name = "frag_" + std::to_string(counter_++);
-    std::optional<PartitionSpec> key;
+    auto named = names_.find(node.get());
+    frag.name = named != names_.end() ? named->second
+                                      : "frag_" + std::to_string(counter_);
+    ++counter_;
     FragContext ctx;
     ctx.root = node.get();
-    TIMR_ASSIGN_OR_RETURN(frag.root, Extract(node, &frag, &key, &ctx, out));
+    TIMR_ASSIGN_OR_RETURN(frag.root, Extract(node, &frag, &ctx, out));
     // No exchange feeds a keyless fragment: it runs as a single partition.
-    frag.key = key.value_or(PartitionSpec::ByKeys({}));
+    frag.key = key_.at(node.get()).value_or(PartitionSpec::ByKeys({}));
     fragment_memo_[node.get()] = frag.name;
-    exchange_key_[frag.name] = key;
     out->fragments.push_back(std::move(frag));
     return out->fragments.back().name;
   }
@@ -101,38 +166,20 @@ class FragmentCutter {
   /// Copies the sub-plan for the current fragment, cutting at exchanges and
   /// at nodes another fragment materializes.
   Result<PlanNodePtr> Extract(const PlanNodePtr& node, Fragment* frag,
-                              std::optional<PartitionSpec>* key,
                               FragContext* ctx, FragmentedPlan* out) {
     // A cut replaces the sub-plan at `node` with a read of the rows
-    // `producer` computes, which arrive under `spec`.
+    // `producer` computes: an exchange's child, a source read in place (the
+    // stage's map phase still partitions it by the fragment key), or a node
+    // another fragment materializes.
     PlanNodePtr producer;
-    std::optional<PartitionSpec> spec;
     if (node->kind == OpKind::kExchange) {
       producer = node->children[0];
-      spec = node->exchange;
-    } else if (node->kind == OpKind::kInput) {
-      // Raw source read in place (no repartitioning marker). The stage's map
-      // phase will still partition it by the fragment key.
+    } else if (node->kind == OpKind::kInput ||
+               (node.get() != ctx->root && materialized_.count(node.get()) &&
+                !Temporal(node.get()))) {
       producer = node;
-    } else if (node.get() != ctx->root && materialized_.count(node.get())) {
-      // Another fragment materializes this node: read its dataset under its
-      // key (the key a copy would have had) rather than recompute it. A
-      // temporal producer's rows are clipped at span bounds, which a
-      // re-timing operator above would see as split events: recompute those.
-      TIMR_ASSIGN_OR_RETURN(std::string dataset, BuildFragment(node, out));
-      spec = exchange_key_.at(dataset);
-      if (!spec || spec->kind != PartitionSpec::Kind::kTemporal) producer = node;
     }
     if (producer != nullptr) {
-      if (spec.has_value()) {
-        if (key->has_value() && !SpecEqual(**key, *spec)) {
-          return Status::Invalid(
-              "fragment fed by exchanges with conflicting partitioning keys: " +
-              (*key)->ToString() + " vs " + spec->ToString() +
-              " (paper footnote 1 requires them to be identical)");
-        }
-        *key = spec;
-      }
       const bool external = producer->kind == OpKind::kInput;
       std::string dataset = producer->name;
       if (!external) {
@@ -153,7 +200,7 @@ class FragmentCutter {
     if (copy_it != ctx->node_memo.end()) return copy_it->second;
     auto copy = std::make_shared<PlanNode>(*node);
     for (auto& c : copy->children) {
-      TIMR_ASSIGN_OR_RETURN(c, Extract(c, frag, key, ctx, out));
+      TIMR_ASSIGN_OR_RETURN(c, Extract(c, frag, ctx, out));
     }
     ctx->node_memo[node.get()] = copy;
     return copy;
@@ -167,23 +214,28 @@ class FragmentCutter {
     frag->input_is_external.push_back(external);
   }
 
+  const std::unordered_map<const PlanNode*, std::string>& names_;
   int counter_ = 0;
-  // Non-source exchange children: each is the root of one fragment.
+  // Each node's key: the exchange key its fragment's inputs arrive under.
+  std::unordered_map<const PlanNode*, std::optional<PartitionSpec>> key_;
+  // Nodes that root a fragment.
   std::unordered_set<const PlanNode*> materialized_;
   // fragment root plan node -> fragment name (multicast across fragments).
   std::unordered_map<const PlanNode*, std::string> fragment_memo_;
-  // fragment name -> the exchange key its inputs arrive under, if any.
-  std::unordered_map<std::string, std::optional<PartitionSpec>> exchange_key_;
 };
 
 }  // namespace
 
-Result<FragmentedPlan> MakeFragments(const temporal::PlanNodePtr& annotated_root) {
-  if (annotated_root->kind == OpKind::kExchange) {
-    return Status::Invalid("plan root must not be an exchange operator");
-  }
-  FragmentCutter cutter;
-  return cutter.Cut(annotated_root);
+Result<FragmentedPlan> MakeFragments(const PlanNodePtr& annotated_root) {
+  return MakeFragments({annotated_root}, {{annotated_root.get(), "frag_0"}});
+}
+
+Result<FragmentedPlan> MakeFragments(
+    const std::vector<PlanNodePtr>& annotated_roots,
+    const std::unordered_map<const PlanNode*, std::string>& names) {
+  if (annotated_roots.empty()) return Status::Invalid("no plan to cut");
+  FragmentCutter cutter(names);
+  return cutter.Cut(annotated_roots);
 }
 
 }  // namespace timr::framework

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -35,21 +36,34 @@ struct FragmentedPlan {
 
 /// Cut `annotated_root` (a plan containing kExchange nodes) into fragments.
 ///
-/// Walks top-down from the root, stopping at exchange operators along every
-/// path; each exchange's key becomes the partitioning key of the fragment
-/// above it, and its child sub-plan becomes an upstream fragment (or a direct
-/// external dataset reference when the child is a source). All exchanges
-/// feeding one fragment must agree on the partitioning key (paper footnote 1).
+/// A node's key is the key of the exchanges its sub-plan reaches without
+/// crossing another exchange; all of them must agree (paper footnote 1). A
+/// fragment runs under its root's key: its map phase partitions every input,
+/// including external sources it reads in place, by that key.
 ///
-/// A fragment whose traversal reaches external kInput leaves directly (with no
-/// interposed exchange) reads those sources "in place"; if the fragment has a
-/// key, the M-R map phase partitions the raw rows by it.
+/// Materialization rule: each sub-plan is computed once. A node becomes the
+/// root of its own fragment, materialized once, when it is a plan root, an
+/// exchange's non-source child, or a node that two or more fragments reach
+/// without an exchange. Each fragment that reaches a materialized node
+/// without an exchange reads its dataset under the node's key. The exception
+/// is a temporally keyed node: its rows are clipped at span bounds, which a
+/// re-timing operator above would see as split events, so each of its readers
+/// recomputes it, and it gets no fragment of its own unless it is a root or
+/// an exchange's child. Nodes are identified by pointer: a sub-plan built
+/// twice is two sub-plans.
 ///
-/// Each sub-plan is computed once: a fragment reaching, without an exchange, a
-/// node another fragment materializes (an exchange's child) reads that
-/// fragment's dataset under its key, unless the key is temporal (span-clipped
-/// rows). Fragments come in depth-first run order, so a dataset read by
-/// several fragments dies at its last reader.
+/// Fragments come in depth-first run order, so a dataset read by several
+/// fragments dies at its last reader. The root's fragment is "frag_0".
 Result<FragmentedPlan> MakeFragments(const temporal::PlanNodePtr& annotated_root);
+
+/// Cut several annotated plans as one job, by the same rule: a node that
+/// fragments of different plans reach is materialized once for all of them.
+/// `names` names the output dataset of the fragment a listed node roots, and
+/// must list every root (roots that are one node share its dataset); a listed
+/// node the rule does not materialize stays inline. Other fragments are named
+/// "frag_<i>". `output_dataset` names the last fragment to run.
+Result<FragmentedPlan> MakeFragments(
+    const std::vector<temporal::PlanNodePtr>& annotated_roots,
+    const std::unordered_map<const temporal::PlanNode*, std::string>& names);
 
 }  // namespace timr::framework

@@ -1,16 +1,19 @@
 // Multi-query suite execution with shared-fragment elimination (ROADMAP 5a).
 //
-// RunPlanSuite takes a set of named CQ plans (the BT pipeline's ~20 CQs),
-// consumes the sharing analysis (analysis::SelectSharedFragments, the
-// executable form of analysis::BuildShareReport), and rewrites them into ONE
-// merged fragment DAG: every verified-equivalent maximal sub-plan is
-// instantiated once as a shared MR stage whose output dataset fans out to all
-// consumer queries (per Sharon's shared online aggregation). Inside each
-// reducer the engine multiplexes multi-consumer operators through TeeOp
-// (temporal/tee.h) with copy-on-write batch views; across stages the sharing
-// is a plain multi-reader dataset — the last-use/consumable analysis releases
-// it only at its final reader, and every per-query output dataset is
-// protected from release for the whole job.
+// RunPlanSuite takes a set of named CQ plans (the BT pipeline's ~20 CQs) and
+// runs them as ONE job through RunPlanSet, the path RunPlan takes too. The
+// sharing analysis (analysis::SelectSharedFragments, the executable form of
+// analysis::BuildShareReport) picks the verified-equivalent maximal sub-plans
+// that repeat; each becomes one shared node in place of all its occurrence
+// sites, and a single MakeFragments call cuts every query. By the cut's
+// materialization rule (fragments.h) a shared node that several fragments
+// reach runs once as its own stage whose dataset fans out to all of them
+// (per Sharon's shared online aggregation). Inside each reducer the engine
+// multiplexes multi-consumer operators through TeeOp (temporal/tee.h) with
+// copy-on-write batch views; across stages the sharing is a plain
+// multi-reader dataset — the last-use/consumable analysis releases it only at
+// its final reader, and every per-query output dataset is protected from
+// release for the whole job.
 //
 // Per-query outputs are identical to independent RunPlan runs as temporal
 // relations; to make them *byte*-identical regardless of how ties at equal LE
@@ -39,15 +42,18 @@ struct SuiteOptions {
   /// timr.job applies to the merged DAG's stage sequence.
   TimrOptions timr;
 
-  /// Master switch for the rewrite. Off, the suite still runs as one merged
-  /// job but with every query's fragments independent — the bit-identity
-  /// tests compare the two settings.
+  /// Master switch for sharing. Off, the suite still runs as one merged job
+  /// but with every query's fragments independent — the bit-identity tests
+  /// compare the two settings.
   bool share_fragments = true;
 };
 
-/// \brief One shared fragment the merged DAG executed once.
+/// \brief One sub-plan the sharing computes once for all its sites.
 struct SharedFragmentStats {
-  std::string dataset;     // the shared stage's output dataset name
+  /// Dataset of the stage that materializes the shared node; empty when the
+  /// cut runs it inline (a single reader, or a temporally keyed node that
+  /// each reader recomputes).
+  std::string dataset;
   uint64_t hash = 0;       // canonical fingerprint of the shared sub-plan
   size_t num_ops = 0;      // operator count of the shared sub-plan
   size_t occurrences = 0;  // occurrence sites substituted across all queries
@@ -59,8 +65,9 @@ struct SuiteRunResult {
   std::vector<std::string> query_names;
   /// Per-query outputs, canonically sorted (parallel to query_names).
   std::vector<std::vector<temporal::Event>> outputs;
-  /// Stage stats for the whole merged job, in execution order: shared
-  /// fragments first (smallest to largest), then each query's fragments.
+  /// The one cut over every query, in execution order.
+  FragmentedPlan fragments;
+  /// Stage stats for the whole merged job, parallel to fragments.fragments.
   mr::JobStats job_stats;
   std::vector<FragmentStats> fragment_stats;
   std::vector<SharedFragmentStats> shared;
@@ -72,15 +79,30 @@ struct SuiteRunResult {
 };
 
 /// Run the named queries as one merged job over the datasets in `store`
-/// (external sources in point layout, exactly as RunPlan). Intermediate
-/// datasets are added to the store under "__shared_<k>" (shared fragments)
-/// and "q_<query>__frag_<i>" / "q_<query>" (per-query fragments; the final
-/// one holds that query's output). Query names must be unique and must not
-/// collide with dataset names already in the store.
+/// (external sources in point layout, exactly as RunPlan). A query's output
+/// is added to the store as "q_<query>"; queries whose whole plans are one
+/// shared sub-plan share one output, named after the first of them. Other
+/// intermediate datasets are named "__shared_<k>" (a shared node's own
+/// stage) or "frag_<i>". Query names must be unique, and no dataset already
+/// in the store may be named like any of these.
 Result<SuiteRunResult> RunPlanSuite(
     mr::LocalCluster* cluster,
     const std::vector<std::pair<std::string, temporal::PlanNodePtr>>& queries,
     std::map<std::string, mr::Dataset>* store,
     const SuiteOptions& options = SuiteOptions());
+
+/// The path behind RunPlan and RunPlanSuite. Verifies each plan (when
+/// options.validate_streams) and elides its redundant exchanges
+/// (ElideRedundantExchanges). With `share`, every sub-plan
+/// analysis::SelectSharedFragments accepts becomes one shared node that
+/// replaces all its occurrence sites. One MakeFragments call then cuts every
+/// plan, and RunFragments runs the fragments with each plan's output
+/// protected. `plans` pairs each plan with its output dataset's name. Fills
+/// every field but `query_names`; `outputs` are in engine order.
+Result<SuiteRunResult> RunPlanSet(
+    mr::LocalCluster* cluster,
+    const std::vector<std::pair<std::string, temporal::PlanNodePtr>>& plans,
+    std::map<std::string, mr::Dataset>* store, const TimrOptions& options,
+    bool share);
 
 }  // namespace timr::framework

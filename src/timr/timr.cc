@@ -8,7 +8,7 @@
 #include "analysis/fragment_checks.h"
 #include "temporal/convert.h"
 #include "temporal/executor.h"
-#include "timr/optimizer.h"
+#include "timr/suite.h"
 
 namespace timr::framework {
 
@@ -209,21 +209,6 @@ Result<std::pair<Timestamp, Timestamp>> ScanTimeRange(
   return std::make_pair(lo, hi);
 }
 
-Result<temporal::PlanNodePtr> VerifyAndElide(
-    const temporal::PlanNodePtr& annotated_root, const TimrOptions& options,
-    const std::string& label, std::vector<std::string>* elided) {
-  // Fail fast on malformed plans: the static passes name the offending node,
-  // while a bad run would surface as wrong output or a deep engine abort.
-  if (options.validate_streams) {
-    TIMR_RETURN_NOT_OK(analysis::VerifyPlanForExecution(annotated_root));
-  }
-  if (!options.elide_redundant_exchanges) return annotated_root;
-  TIMR_ASSIGN_OR_RETURN(ElisionResult elision,
-                        ElideRedundantExchanges(annotated_root));
-  for (std::string& e : elision.elided) elided->push_back(label + e);
-  return std::move(elision.plan);
-}
-
 Status RunFragments(mr::LocalCluster* cluster, const FragmentedPlan& plan,
                     const std::set<std::string>& protected_outputs,
                     std::map<std::string, mr::Dataset>* store,
@@ -329,18 +314,15 @@ Result<TimrRunResult> RunPlan(mr::LocalCluster* cluster,
                               const temporal::PlanNodePtr& annotated_root,
                               std::map<std::string, mr::Dataset>* store,
                               const TimrOptions& options) {
+  TIMR_ASSIGN_OR_RETURN(SuiteRunResult run,
+                        RunPlanSet(cluster, {{"frag_0", annotated_root}}, store,
+                                   options, /*share=*/false));
   TimrRunResult result;
-  TIMR_ASSIGN_OR_RETURN(
-      temporal::PlanNodePtr root,
-      VerifyAndElide(annotated_root, options, "", &result.elided_exchanges));
-  TIMR_ASSIGN_OR_RETURN(result.fragments, MakeFragments(root));
-  TIMR_RETURN_NOT_OK(RunFragments(cluster, result.fragments,
-                                  {result.fragments.output_dataset}, store,
-                                  options, &result.job_stats,
-                                  &result.fragment_stats));
-  const mr::Dataset& out = store->at(result.fragments.output_dataset);
-  TIMR_ASSIGN_OR_RETURN(result.output,
-                        temporal::EventsFromRows(out.schema(), out.Gather()));
+  result.output = std::move(run.outputs[0]);
+  result.job_stats = std::move(run.job_stats);
+  result.fragments = std::move(run.fragments);
+  result.fragment_stats = std::move(run.fragment_stats);
+  result.elided_exchanges = std::move(run.elided_exchanges);
   return result;
 }
 

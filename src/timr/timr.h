@@ -65,14 +65,6 @@ struct TimrOptions {
   /// turn it off (see bench_validate_overhead for the measured cost).
   bool validate_streams = true;
 
-  /// Property-driven exchange elision (optimizer.h): before cutting the plan
-  /// into fragments, remove every keyed exchange whose input is provably
-  /// already partitioned compatibly (analysis/properties.h). Output is
-  /// bit-identical; elided exchanges save a whole shuffle stage each. Off by
-  /// default — callers opt in, and elisions are reported in
-  /// TimrRunResult::elided_exchanges.
-  bool elide_redundant_exchanges = false;
-
   /// Reducers receive partition rows already sorted by the Time column (the
   /// shuffle contract of mr/stage.h), so the embedded engine's input driver
   /// can skip its defensive re-sort. Debug builds still verify sortedness.
@@ -114,8 +106,7 @@ struct TimrRunResult {
   mr::JobStats job_stats;
   FragmentedPlan fragments;
   std::vector<FragmentStats> fragment_stats;
-  /// Exchanges removed by property-driven elision (one description each);
-  /// empty unless TimrOptions::elide_redundant_exchanges.
+  /// Exchanges removed by property-driven elision (one description each).
   std::vector<std::string> elided_exchanges;
 };
 
@@ -135,15 +126,7 @@ Result<mr::MRStage> CompileFragment(
     std::pair<temporal::Timestamp, temporal::Timestamp> time_range,
     FragmentStats* stats);
 
-/// Verify `annotated_root` for execution (when options.validate_streams) and
-/// elide its redundant exchanges (when options.elide_redundant_exchanges),
-/// appending one description per elision to `elided`, each prefixed with
-/// `label`. Returns the plan to cut into fragments.
-Result<temporal::PlanNodePtr> VerifyAndElide(
-    const temporal::PlanNodePtr& annotated_root, const TimrOptions& options,
-    const std::string& label, std::vector<std::string>* elided);
-
-/// The job loop behind RunPlan and RunPlanSuite: restore options.job's
+/// The job loop behind RunPlanSet (suite.h): restore options.job's
 /// checkpointed prefix, then compile each remaining fragment (only once its
 /// inputs exist: a temporal one needs their time range) and run it through
 /// LocalCluster::RunJobStage. `store` must hold the plan's external sources
@@ -156,8 +139,9 @@ Status RunFragments(mr::LocalCluster* cluster, const FragmentedPlan& plan,
                     std::vector<FragmentStats>* fragment_stats);
 
 /// Run an annotated plan over the datasets in `store` (external sources in
-/// point layout: [Time, payload...]). Intermediate datasets are added to the
-/// store under their fragment names.
+/// point layout: [Time, payload...]): RunPlanSet (suite.h) of this one plan,
+/// without sharing. Intermediate datasets are added to the store under their
+/// fragment names; the output is "frag_0".
 Result<TimrRunResult> RunPlan(mr::LocalCluster* cluster,
                               const temporal::PlanNodePtr& annotated_root,
                               std::map<std::string, mr::Dataset>* store,

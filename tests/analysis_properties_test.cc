@@ -457,20 +457,18 @@ TEST(ExchangeElision, RunPlanOutputIsBitIdentical) {
   std::map<std::string, std::pair<Schema, std::vector<Event>>> inputs;
   inputs["S"] = {PropertyPlanSchema(), events};
 
-  framework::TimrOptions off;
-  framework::TimrOptions on;
-  on.elide_redundant_exchanges = true;
-
+  // The unelided reference runs the plan's cut as annotated; RunPlan elides.
   mr::LocalCluster cluster(4, 2);
-  auto a = framework::RunPlanOnEvents(&cluster,
-                                      RedundantSecondExchange().node(), inputs,
-                                      off);
+  std::map<std::string, mr::Dataset> store;
+  store["S"] = mr::Dataset::FromRows(
+      temporal::PointRowSchema(PropertyPlanSchema()),
+      temporal::RowsFromEvents(events, false).ValueOrDie());
+  auto a = testutil::RunUnelided(&cluster, RedundantSecondExchange().node(),
+                                 &store, framework::TimrOptions());
   auto b = framework::RunPlanOnEvents(&cluster,
-                                      RedundantSecondExchange().node(), inputs,
-                                      on);
+                                      RedundantSecondExchange().node(), inputs);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
-  EXPECT_TRUE(a.ValueOrDie().elided_exchanges.empty());
   EXPECT_EQ(b.ValueOrDie().elided_exchanges.size(), 1u);
   EXPECT_EQ(a.ValueOrDie().fragments.fragments.size(), 2u);
   EXPECT_EQ(b.ValueOrDie().fragments.fragments.size(), 1u);
@@ -480,12 +478,10 @@ TEST(ExchangeElision, RunPlanOutputIsBitIdentical) {
 
 TEST(ExchangeElision, BtJobOutputIsBitIdenticalUnderElisionAndSortHint) {
   testutil::BtRunConfig base;
-  testutil::BtRun a = testutil::RunBtJob(base);
+  testutil::BtRun a = testutil::RunBtJob(base, testutil::RunUnelided);
   ASSERT_TRUE(a.status.ok()) << a.status.ToString();
 
-  testutil::BtRunConfig elide;
-  elide.options.elide_redundant_exchanges = true;
-  testutil::BtRun b = testutil::RunBtJob(elide);
+  testutil::BtRun b = testutil::RunBtJob(base);
   ASSERT_TRUE(b.status.ok()) << b.status.ToString();
   testutil::ExpectEventsIdentical(a.output, b.output);
 

@@ -68,10 +68,35 @@ struct BtRunConfig {
   workload::GeneratorConfig workload = SmallWorkload();
 };
 
+/// Run `plan`'s cut as annotated: RunFragments over MakeFragments, without
+/// the exchange elision RunPlan applies first. The unelided reference for
+/// the elision tests; same signature as RunPlan.
+inline Result<framework::TimrRunResult> RunUnelided(
+    mr::LocalCluster* cluster, const temporal::PlanNodePtr& plan,
+    std::map<std::string, mr::Dataset>* store,
+    const framework::TimrOptions& options) {
+  framework::TimrRunResult result;
+  TIMR_ASSIGN_OR_RETURN(result.fragments, framework::MakeFragments(plan));
+  const std::string& output = result.fragments.output_dataset;
+  TIMR_RETURN_NOT_OK(framework::RunFragments(
+      cluster, result.fragments, {output}, store, options, &result.job_stats,
+      &result.fragment_stats));
+  const mr::Dataset& out = store->at(output);
+  TIMR_ASSIGN_OR_RETURN(result.output,
+                        temporal::EventsFromRows(out.schema(), out.Gather()));
+  return result;
+}
+
+using PlanRunner = Result<framework::TimrRunResult> (*)(
+    mr::LocalCluster*, const temporal::PlanNodePtr&,
+    std::map<std::string, mr::Dataset>*, const framework::TimrOptions&);
+
 /// Generate the configured BT log, run the standard BT feature pipeline
-/// through TiMR, and hand back output, stats, and the final store. The store
-/// is returned even on failure so kill-resume tests can inspect it.
-inline BtRun RunBtJob(const BtRunConfig& cfg) {
+/// through TiMR (`run`: RunPlan, or RunUnelided for the unelided reference),
+/// and hand back output, stats, and the final store. The store is returned
+/// even on failure so kill-resume tests can inspect it.
+inline BtRun RunBtJob(const BtRunConfig& cfg,
+                      PlanRunner run_plan = framework::RunPlan) {
   auto log = workload::GenerateBtLog(cfg.workload);
 
   mr::LocalCluster cluster(/*num_machines=*/8, cfg.num_threads);
@@ -82,7 +107,7 @@ inline BtRun RunBtJob(const BtRunConfig& cfg) {
   store[bt::kBtInput] =
       mr::Dataset::FromRows(temporal::PointRowSchema(bt::UnifiedSchema()), rows);
 
-  auto run = framework::RunPlan(
+  auto run = run_plan(
       &cluster,
       bt::BtFeaturePipeline(SmallBtConfig(), bt::Annotation::kStandard).node(),
       &store, cfg.options);

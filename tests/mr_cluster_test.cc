@@ -1222,10 +1222,9 @@ TEST(Chaos, BtJobWithExchangeElisionBitIdenticalUnderChaos) {
   // The elision-optimized plan (timr/optimizer.h) must survive the same
   // randomized fault schedules with the same answer: identical output to the
   // un-elided base job, and chaos runs bit-identical to the elided clean run.
-  testutil::BtRun base = testutil::RunBtJob(0);
-
   testutil::BtRunConfig clean_cfg;
-  clean_cfg.options.elide_redundant_exchanges = true;
+  testutil::BtRun base = testutil::RunBtJob(clean_cfg, testutil::RunUnelided);
+  ASSERT_TRUE(base.status.ok()) << base.status.ToString();
   testutil::BtRun clean = testutil::RunBtJob(clean_cfg);
   ASSERT_TRUE(clean.status.ok()) << clean.status.ToString();
   EXPECT_LT(clean.stats.stages.size(), base.stats.stages.size());

@@ -7,18 +7,22 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bt_test_util.h"
+#include "click_log.h"
 #include "bt/queries.h"
 #include "bt/schema.h"
 #include "bt/suite_runner.h"
 #include "mr/checkpoint.h"
 #include "mr/cluster.h"
 #include "mr/fault.h"
+#include "temporal/convert.h"
 #include "temporal/event.h"
+#include "temporal/executor.h"
 #include "temporal/query.h"
 #include "timr/suite.h"
 #include "timr/timr.h"
@@ -163,19 +167,91 @@ TEST(SharedSuite, OpaqueUdoFragmentsDoNotMerge) {
   ExpectOutputsIdentical(IndependentOutputs(queries), run.ValueOrDie());
 }
 
+// The suite elides every query's redundant exchanges, as RunPlan does. Its
+// outputs must equal each query's cut as annotated, run unelided, and it must
+// not run more stages than those cuts together.
 TEST(SharedSuite, BitIdenticalWithExchangeElision) {
   const auto queries = bt::BtCqSuite(testutil::SmallBtConfig());
 
-  auto base = RunSuite(queries);
-  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  std::vector<std::vector<Event>> unelided;
+  size_t unelided_stages = 0;
+  for (const auto& [name, plan] : queries) {
+    mr::LocalCluster cluster(/*num_machines=*/8);
+    auto store = SuiteStore();
+    auto run = testutil::RunUnelided(&cluster, plan, &store,
+                                     framework::TimrOptions());
+    ASSERT_TRUE(run.ok()) << name << ": " << run.status().ToString();
+    unelided_stages += run.ValueOrDie().fragments.fragments.size();
+    std::vector<Event> out = std::move(run.ValueOrDie().output);
+    temporal::SortEventsCanonical(&out);
+    unelided.push_back(std::move(out));
+  }
 
-  SuiteOptions elide;
-  elide.timr.elide_redundant_exchanges = true;
-  auto elided = RunSuite(queries, elide);
+  auto elided = RunSuite(queries);
   ASSERT_TRUE(elided.ok()) << elided.status().ToString();
-  EXPECT_LE(elided.ValueOrDie().num_stages, base.ValueOrDie().num_stages);
+  EXPECT_FALSE(elided.ValueOrDie().elided_exchanges.empty());
+  EXPECT_LE(elided.ValueOrDie().num_stages, unelided_stages);
+  ExpectOutputsIdentical(unelided, elided.ValueOrDie());
+}
 
-  ExpectOutputsIdentical(base.ValueOrDie().outputs, elided.ValueOrDie());
+// The suite is one cut over every query: a query whose whole plan is shared
+// writes its output where the sub-plan is computed, so no stage only copies
+// a dataset the job itself produced into a query's output.
+TEST(SharedSuite, NoFragmentOnlyCopiesADataset) {
+  auto run = RunSuite(bt::BtCqSuite(testutil::SmallBtConfig()));
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const framework::FragmentedPlan& cut = run.ValueOrDie().fragments;
+  EXPECT_EQ(run.ValueOrDie().num_stages, cut.fragments.size());
+  std::set<std::string> produced;
+  for (const framework::Fragment& f : cut.fragments) produced.insert(f.name);
+  for (const framework::Fragment& f : cut.fragments) {
+    EXPECT_FALSE(f.root->kind == temporal::OpKind::kInput &&
+                 produced.count(f.root->name) != 0)
+        << f.name << " only copies " << f.root->name;
+  }
+}
+
+// A temporally keyed shared producer: both queries share the per-span count.
+// Its rows are clipped at span bounds, so a reader that re-windows them must
+// recompute the count rather than read the clipped dataset; each output must
+// equal the single-node engine's.
+TEST(SharedSuite, TemporalSharedProducerMatchesSingleNode) {
+  auto make_query = [](int64_t threshold, bool annotated) {
+    Query input = Query::Input("ClickLog", testutil::ClickSchema());
+    if (annotated) {
+      input = input.Exchange(PartitionSpec::ByTime(
+          /*span_width=*/2 * temporal::kHour, /*overlap=*/temporal::kHour));
+    }
+    return input.Window(30 * temporal::kMinute)
+        .Count("Cnt")
+        .WhereCmp("Cnt", temporal::CmpOp::kGt, Value(threshold))
+        .Window(30 * temporal::kMinute)
+        .Count("Cnt");
+  };
+  const std::vector<Event> clicks =
+      testutil::MakeClicks(3000, 24 * temporal::kHour, 5, /*seed=*/23);
+  std::vector<std::pair<std::string, temporal::PlanNodePtr>> queries;
+  for (int64_t threshold : {3, 5}) {
+    queries.emplace_back("over_" + std::to_string(threshold),
+                         make_query(threshold, true).node());
+  }
+
+  mr::LocalCluster cluster(/*num_machines=*/8);
+  std::map<std::string, mr::Dataset> store;
+  store["ClickLog"] = mr::Dataset::FromRows(
+      temporal::PointRowSchema(testutil::ClickSchema()),
+      temporal::RowsFromEvents(clicks, false).ValueOrDie());
+  auto run = RunPlanSuite(&cluster, queries, &store);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_FALSE(run.ValueOrDie().shared.empty());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    SCOPED_TRACE(queries[q].first);
+    auto single = temporal::Executor::Execute(
+        make_query(q == 0 ? 3 : 5, false).node(), {{"ClickLog", clicks}});
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    EXPECT_TRUE(temporal::SameTemporalRelation(single.ValueOrDie(),
+                                               run.ValueOrDie().outputs[q]));
+  }
 }
 
 TEST(SharedSuite, BitIdenticalUnderChaosSeeds) {

@@ -80,14 +80,14 @@ TEST(ShuffleDeterminism, BtJobBitIdenticalWithColumnarKernelsOnAndOff) {
 }
 
 TEST(ShuffleDeterminism, BtJobBitIdenticalWithExchangeElision) {
-  // Property-driven exchange elision (timr/optimizer.h) drops provably
-  // redundant shuffles, merging fragments. Fewer stages run — so the store's
+  // Property-driven exchange elision (timr/optimizer.h), which RunPlan always
+  // applies, drops provably redundant shuffles, merging fragments. Fewer
+  // stages run than in the plan's cut as annotated — so the store's
   // intermediate datasets legitimately differ — but the job *output* must be
   // bit-identical, and the elided job must itself be thread-count invariant.
-  BtRun base = RunBtJob(0);
-
   testutil::BtRunConfig cfg;
-  cfg.options.elide_redundant_exchanges = true;
+  BtRun base = RunBtJob(cfg, testutil::RunUnelided);
+  ASSERT_TRUE(base.status.ok()) << base.status.ToString();
   BtRun elided = RunBtJob(cfg);
   ASSERT_TRUE(elided.status.ok()) << elided.status.ToString();
   EXPECT_LT(elided.stats.stages.size(), base.stats.stages.size());
@@ -102,7 +102,6 @@ TEST(ShuffleDeterminism, BtJobBitIdenticalWithExchangeElision) {
 
 TEST(ShuffleDeterminism, ReducerRetryWithExchangeElisionIsRepeatable) {
   testutil::BtRunConfig cfg;
-  cfg.options.elide_redundant_exchanges = true;
   BtRun clean = RunBtJob(cfg);
   ASSERT_TRUE(clean.status.ok()) << clean.status.ToString();
   ASSERT_FALSE(clean.stats.stages.empty());

@@ -8,11 +8,12 @@
 
 #include "bt/queries.h"
 #include "bt/schema.h"
-#include "common/rng.h"
+#include "click_log.h"
 #include "mr/cluster.h"
 #include "temporal/convert.h"
 #include "temporal/executor.h"
 #include "temporal/query.h"
+#include "timr/optimizer.h"
 #include "timr/timr.h"
 
 namespace timr::framework {
@@ -26,22 +27,8 @@ using temporal::Query;
 using temporal::SameTemporalRelation;
 using temporal::Timestamp;
 
-Schema ClickSchema() {
-  return Schema::Of({{"UserId", ValueType::kInt64}, {"AdId", ValueType::kInt64}});
-}
-
-// Synthetic click log: `n` events over `horizon` seconds, `ads` ad ids.
-std::vector<Event> MakeClicks(int n, Timestamp horizon, int ads, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Event> events;
-  events.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    events.push_back(Event::Point(
-        rng.UniformInt(0, horizon),
-        {Value(rng.UniformInt(1, 1000)), Value(rng.UniformInt(1, ads))}));
-  }
-  return events;
-}
+using testutil::ClickSchema;
+using testutil::MakeClicks;
 
 // The paper's RunningClickCount (Example 1): per-ad click count over a
 // 6-hour window, here annotated with an exchange on AdId (Figure 7).
@@ -390,17 +377,22 @@ TEST(TimrExec, TwoFragmentPipeline) {
 
 // A source named like one of the plan's fragments ("frag_1") would be
 // overwritten by that fragment's output mid-job and read back as the wrong
-// dataset. The run must refuse it, with or without stream validation.
+// dataset. The run must refuse it, with or without stream validation. The
+// {AdId} exchange over the {UserId}-partitioned filter is not redundant, so
+// the cut RunPlan makes after exchange elision still has a "frag_1".
 TEST(TimrExec, SourceNamedLikeAFragmentIsRejected) {
   auto clicks = MakeClicks(2000, 24 * kHour, 8, /*seed=*/5);
   Query input = Query::Input("frag_1", ClickSchema());
   Query filtered =
       input.Exchange(PartitionSpec::ByKeys({"UserId"}))
           .WhereCmp("AdId", temporal::CmpOp::kLt, Value(int64_t{3}))
-          .Exchange(PartitionSpec::ByKeys({"UserId"}));
+          .Exchange(PartitionSpec::ByKeys({"AdId"}));
   Query plan =
-      Query::Union(filtered, input.Exchange(PartitionSpec::ByKeys({"UserId"})));
-  auto frags = MakeFragments(plan.node());
+      Query::Union(filtered, input.Exchange(PartitionSpec::ByKeys({"AdId"})));
+  auto elided = ElideRedundantExchanges(plan.node());
+  ASSERT_TRUE(elided.ok()) << elided.status().ToString();
+  EXPECT_TRUE(elided.ValueOrDie().elided.empty());
+  auto frags = MakeFragments(elided.ValueOrDie().plan);
   ASSERT_TRUE(frags.ok()) << frags.status().ToString();
   bool named_like_a_fragment = false;
   for (const Fragment& f : frags.ValueOrDie().fragments) {

@@ -36,7 +36,8 @@
 //
 // Each plan target also reports how many fragments of its cut read each
 // external source (JSON: "source_readers"). bt_standard must read BtLog from
-// one fragment: a second reader recomputes the bot-free stream.
+// one fragment, as annotated and as RunPlan cuts it after exchange elision: a
+// second reader recomputes the bot-free stream.
 //
 // The allowlist file holds one "<target>:<subject>" entry per line ('#'
 // comments); it acknowledges known row-path fallbacks (e.g. the z-score
@@ -416,6 +417,12 @@ PlanNodePtr BtPipeline(timr::bt::Annotation annotation) {
       .node();
 }
 
+PlanNodePtr Elided(const PlanNodePtr& plan) {
+  auto result = timr::framework::ElideRedundantExchanges(plan);
+  TIMR_CHECK(result.ok()) << result.status().ToString();
+  return result.ValueOrDie().plan;
+}
+
 PlanNodePtr BtOptimized() {
   auto plan = BtPipeline(timr::bt::Annotation::kNone);
   auto result = timr::framework::OptimizeAnnotation(
@@ -449,6 +456,12 @@ std::vector<LintTarget> Registry() {
   // The standard plan computes the bot-free stream once: one BtLog reader.
   add_plan("bt_standard", "full BT pipeline, optimizer-style annotation",
            false, [] { return BtPipeline(timr::bt::Annotation::kStandard); },
+           /*max_source_readers=*/1);
+  // RunPlan elides redundant exchanges before it cuts: the plan it runs
+  // still reads BtLog once.
+  add_plan("bt_standard_elided", "bt_standard as RunPlan cuts it (elided)",
+           false,
+           [] { return Elided(BtPipeline(timr::bt::Annotation::kStandard)); },
            /*max_source_readers=*/1);
   add_plan("bt_naive", "full BT pipeline, Example 3's naive annotation", false,
            [] { return BtPipeline(timr::bt::Annotation::kNaive); });
