@@ -19,11 +19,12 @@
 //    support (TSan) or without a single spawned worker, the stage uses the
 //    in-process backend.
 // The pipeline owns the rest, identically for both backends: morsel planning
-// and map routing (rows *moved* instead of copied when the partitioner emits
-// a single target and the stage marks the input consumable); poison-row
+// and map routing (a map task routes row references, never rows); poison-row
 // quarantine (FaultToleranceOptions::quarantine_inputs) into
-// `<stage>.quarantine`; adaptive skew splits; the canonical shuffle sort on
-// the thread pool, so reducer input — and every stage output — is
+// `<stage>.quarantine`; adaptive skew splits; the canonical shuffle on the
+// thread pool, which builds each bucket by copying the referenced rows in
+// canonical order (or takes over a whole consumable source partition already
+// in that order), so reducer input — and every stage output — is
 // byte-identical for any thread count and either backend; and the reduce
 // attempt scheduler (see fault.h), which contains exceptions at the task
 // boundary, retries failed attempts up to max_task_attempts with per-attempt

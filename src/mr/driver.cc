@@ -122,7 +122,8 @@ class WorkerBackend final : public TaskBackend {
   void Enqueue(Shipment s);
   void Requeue(int id);
   bool Dispatch(int id, int worker, Clock::time_point now);
-  /// Decode a response into the shipment's result; false = garbage.
+  /// Decode a response into the shipment's result; false = garbage, or a
+  /// map result that fails CheckMapResult.
   bool Complete(int id, std::string_view payload);
   void RunInProcess(int id);
   /// One round of the loop: dispatch, sleep until an event or `deadline`,
@@ -369,6 +370,12 @@ bool WorkerBackend::Complete(int id, std::string_view payload) {
   if (s.map) {
     wire::MapResponse resp;
     if (!wire::DecodeMapResponse(payload, &resp).ok()) return false;
+    // Refs index into the driver's own datasets: one that strays outside its
+    // task's rows is treated like a malformed frame, never dereferenced.
+    if (resp.status.ok() &&
+        !CheckMapResult((*map_specs_)[s.task], resp.result).ok()) {
+      return false;
+    }
     (*map_statuses_)[s.task] = resp.status;
     (*map_results_)[s.task] = std::move(resp.result);
   } else {

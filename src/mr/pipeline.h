@@ -4,13 +4,16 @@
 // RunStagePipeline is the one implementation of a map-reduce stage:
 //  1. resolve inputs and plan morsels (morsel size from the backend's
 //     parallelism);
-//  2. run the map phase through the backend;
-//  3. fold the map results: stats, quarantine budget and dataset, release of
-//     consumed inputs;
-//  4. decide adaptive-skew splits and reroute hot rows (skew.h);
-//  5. build the physical -> base partition tables and assemble the buckets;
-//  6. sort every bucket canonically (RowTimeLess), once, on the cluster's
-//     thread pool — backends only ever see presorted reducer input;
+//  2. run the map phase through the backend: each map task emits a row
+//     reference (Time, source row index) per routed row and target;
+//  3. fold the map results: stats, quarantine budget and dataset;
+//  4. decide adaptive-skew splits and reroute the hot rows' refs (skew.h);
+//  5. build the physical -> base partition tables;
+//  6. build every bucket once, on the cluster's thread pool: order its refs
+//     canonically (by time, RowTimeLess on the referenced rows for ties) and
+//     copy the referenced rows in that order, so a bucket's rows are
+//     allocated contiguously in reducer order; then release consumed inputs.
+//     Backends only ever see presorted reducer input;
 //  7. run the reduce attempt scheduler: retries, speculative backups for
 //     stragglers, first finisher wins, duplicate outputs byte-compared;
 //  8. coalesce split partitions, finalize stats, publish.

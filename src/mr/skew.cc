@@ -52,23 +52,24 @@ uint64_t StageSalt(const std::string& stage_name) {
 }
 
 void RerouteHotRows(const KeyHashFn& key_hash, int input_index,
-                    uint64_t stage_salt, int fanout, const SplitDecision& d,
-                    int vbase, std::vector<std::vector<Row>>* buckets) {
-  std::vector<Row>& src = (*buckets)[d.partition];
+                    const std::vector<Row>& rows, uint64_t stage_salt,
+                    int fanout, const SplitDecision& d, int vbase,
+                    std::vector<std::vector<RowRef>>* buckets) {
+  std::vector<RowRef>& src = (*buckets)[d.partition];
   if (src.empty()) return;
-  std::vector<Row> keep_rows;
-  keep_rows.reserve(src.size());
-  for (Row& row : src) {
-    const uint64_t h = key_hash(input_index, row);
+  std::vector<RowRef> keep;
+  keep.reserve(src.size());
+  for (const RowRef& ref : src) {
+    const uint64_t h = key_hash(input_index, rows[ref.row]);
     if (d.hot_set.count(h) > 0) {
       const int slot = static_cast<int>(HashMix(h ^ stage_salt) %
                                         static_cast<uint64_t>(fanout));
-      (*buckets)[vbase + slot].push_back(std::move(row));
+      (*buckets)[vbase + slot].push_back(ref);
     } else {
-      keep_rows.push_back(std::move(row));
+      keep.push_back(ref);
     }
   }
-  src = std::move(keep_rows);
+  src = std::move(keep);
 }
 
 std::vector<Row> MergeSortedRuns(std::vector<std::vector<Row>> runs) {

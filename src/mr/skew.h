@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "mr/stage.h"
+#include "mr/worker.h"
 
 namespace timr::mr {
 
@@ -35,13 +36,15 @@ std::vector<SplitDecision> DecidePartitionSplits(
 /// only (never runtime state).
 uint64_t StageSalt(const std::string& stage_name);
 
-/// Move the hot rows of `(*buckets)[d.partition]` into the virtual buckets
-/// `(*buckets)[vbase + slot]`, where slot = HashMix(key_hash ^ stage_salt) %
-/// fanout. `buckets` must already have at least vbase + fanout entries. Rows
-/// whose key is not hot stay in the base bucket, preserving relative order.
+/// Move the refs of hot rows in `(*buckets)[d.partition]` into the virtual
+/// buckets `(*buckets)[vbase + slot]`, where slot = HashMix(key_hash ^
+/// stage_salt) % fanout. `rows` is the source partition the refs index into.
+/// `buckets` must already have at least vbase + fanout entries. Refs whose
+/// row's key is not hot stay in the base bucket, preserving relative order.
 void RerouteHotRows(const KeyHashFn& key_hash, int input_index,
-                    uint64_t stage_salt, int fanout, const SplitDecision& d,
-                    int vbase, std::vector<std::vector<Row>>* buckets);
+                    const std::vector<Row>& rows, uint64_t stage_salt,
+                    int fanout, const SplitDecision& d, int vbase,
+                    std::vector<std::vector<RowRef>>* buckets);
 
 /// K-way merge of canonically sorted runs (RowTimeLess order) via a pairwise
 /// merge tree; returns one canonically ordered run. Consumes the inputs.

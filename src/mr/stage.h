@@ -79,14 +79,15 @@ struct MRStage {
 
   int num_partitions = 0;  // 0: use the cluster's machine count
 
-  /// Indices into `inputs` whose datasets the runtime may *consume*: when the
-  /// partitioner emits exactly one (in-range) target for a row, the row is
-  /// moved — not copied — into the shuffle, and the input's partitions are
-  /// released after the map phase (the dataset stays in the store with its
-  /// schema but zero rows). Only mark an input when no later stage or caller
-  /// reads it again; TiMR marks intermediate fragment outputs on their last
-  /// use. Inputs whose dataset name appears more than once in `inputs` are
-  /// never consumed, regardless of this list.
+  /// Indices into `inputs` whose datasets the runtime may *consume*: the
+  /// input's partitions are released once the shuffle has built every bucket
+  /// (the dataset stays in the store with its schema but zero rows), and a
+  /// bucket that is one whole source partition already in canonical order
+  /// takes that partition over instead of copying its rows. Only mark an
+  /// input when no later stage or caller reads it again; TiMR marks
+  /// intermediate fragment outputs on their last use. Inputs whose dataset
+  /// name appears more than once in `inputs` are never consumed, regardless
+  /// of this list.
   std::vector<int> consumable_inputs;
 
   PartitionFn partition_fn;

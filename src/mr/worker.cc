@@ -24,9 +24,9 @@ Status RunMapTask(const StageInputs& in, const MapTaskSpec& spec,
   const MRStage& stage = *in.stage;
   const auto input = static_cast<size_t>(spec.input_index);
   const Schema& input_schema = in.schemas[input];
-  std::vector<Row>* src_rows =
-      &in.datasets[input]->partition(spec.src_partition);
-  out->buckets.assign(static_cast<size_t>(spec.parts), {});
+  const std::vector<Row>& src_rows =
+      in.datasets[input]->partition(spec.src_partition);
+  out->refs.assign(static_cast<size_t>(spec.parts), {});
   std::unordered_map<uint64_t, uint32_t> sketch;
   std::vector<int> targets;
   try {
@@ -34,7 +34,7 @@ Status RunMapTask(const StageInputs& in, const MapTaskSpec& spec,
       if (abort != nullptr && abort->load(std::memory_order_relaxed)) {
         return Status::OK();
       }
-      Row& row = (*src_rows)[r];
+      const Row& row = src_rows[r];
       ++out->rows_in;
       if (spec.quarantine) {
         Status vs = ValidateRowSchema(input_schema, row);
@@ -43,9 +43,7 @@ Status RunMapTask(const StageInputs& in, const MapTaskSpec& spec,
           Row q;
           q.reserve(row.size() + 1);
           q.push_back(Value(static_cast<int64_t>(spec.input_index)));
-          for (Value& v : row) {
-            q.push_back(spec.may_move ? std::move(v) : v);
-          }
+          q.insert(q.end(), row.begin(), row.end());
           out->quarantined.push_back(std::move(q));
           continue;
         }
@@ -69,12 +67,11 @@ Status RunMapTask(const StageInputs& in, const MapTaskSpec& spec,
         }
       }
       out->rows_shuffled += targets.size();
-      if (targets.size() == 1 && spec.may_move) {
-        out->buckets[static_cast<size_t>(targets[0])].push_back(std::move(row));
-      } else {
-        for (int t : targets) {
-          out->buckets[static_cast<size_t>(t)].push_back(row);
-        }
+      // Never throws: a malformed Time cell is the shuffle's to report.
+      const int64_t time =
+          !row.empty() && row[0].is_int64() ? row[0].AsInt64() : 0;
+      for (int t : targets) {
+        out->refs[static_cast<size_t>(t)].push_back(RowRef{time, r});
       }
     }
   } catch (const std::exception& e) {
@@ -84,6 +81,26 @@ Status RunMapTask(const StageInputs& in, const MapTaskSpec& spec,
                                   ": map phase threw: " + e.what());
   }
   out->sketch.assign(sketch.begin(), sketch.end());
+  return Status::OK();
+}
+
+Status CheckMapResult(const MapTaskSpec& spec, const MapTaskResult& result) {
+  if (result.refs.size() != static_cast<size_t>(spec.parts)) {
+    return Status::RpcError("map result has " +
+                            std::to_string(result.refs.size()) +
+                            " buckets for " + std::to_string(spec.parts) +
+                            " partitions");
+  }
+  for (const std::vector<RowRef>& bucket : result.refs) {
+    for (const RowRef& ref : bucket) {
+      if (ref.row < spec.begin || ref.row >= spec.end) {
+        return Status::RpcError("map result references row " +
+                                std::to_string(ref.row) + " outside [" +
+                                std::to_string(spec.begin) + ", " +
+                                std::to_string(spec.end) + ")");
+      }
+    }
+  }
   return Status::OK();
 }
 
@@ -205,7 +222,6 @@ void EncodeMapRequest(const MapTaskSpec& spec, std::string* payload) {
   uint8_t flags = 0;
   if (spec.quarantine) flags |= 1;
   if (spec.skew_enabled) flags |= 2;
-  if (spec.may_move) flags |= 4;
   w.U8(flags);
   w.U64(spec.sample_mask);
   *payload = w.Take();
@@ -230,7 +246,6 @@ Status DecodeMapRequest(std::string_view payload, MapTaskSpec* spec) {
   spec->parts = static_cast<int>(parts);
   spec->quarantine = (flags & 1) != 0;
   spec->skew_enabled = (flags & 2) != 0;
-  spec->may_move = (flags & 4) != 0;
   return Status::OK();
 }
 
@@ -249,8 +264,14 @@ void EncodeMapResponse(const MapResponse& resp, std::string* payload) {
   w.U64(res.rows_in);
   w.U64(res.rows_shuffled);
   w.Str(res.first_bad);
-  w.U32(static_cast<uint32_t>(res.buckets.size()));
-  for (const auto& b : res.buckets) w.Rows(b);
+  w.U32(static_cast<uint32_t>(res.refs.size()));
+  for (const std::vector<RowRef>& bucket : res.refs) {
+    w.U64(bucket.size());
+    for (const RowRef& ref : bucket) {
+      w.U64(static_cast<uint64_t>(ref.time));
+      w.U64(ref.row);
+    }
+  }
   w.Rows(res.quarantined);
   w.U64(res.sketch.size());
   for (const auto& [h, c] : res.sketch) {
@@ -281,9 +302,20 @@ Status DecodeMapResponse(std::string_view payload, MapResponse* resp) {
       nbuckets > (1u << 24)) {
     return Status::RpcError("malformed map response payload");
   }
-  res.buckets.resize(nbuckets);
-  for (auto& b : res.buckets) {
-    if (!r.Rows(&b)) return Status::RpcError("malformed map response payload");
+  res.refs.resize(nbuckets);
+  for (std::vector<RowRef>& bucket : res.refs) {
+    uint64_t nrefs = 0;
+    // A ref is 16 bytes: a count beyond what is left cannot be genuine.
+    if (!r.U64(&nrefs) || nrefs > r.remaining() / 16) {
+      return Status::RpcError("malformed map response payload");
+    }
+    bucket.resize(nrefs);
+    for (RowRef& ref : bucket) {
+      uint64_t time = 0;
+      r.U64(&time);
+      r.U64(&ref.row);
+      ref.time = static_cast<int64_t>(time);
+    }
   }
   if (!r.Rows(&res.quarantined)) {
     return Status::RpcError("malformed map response payload");

@@ -12,9 +12,11 @@
 // boundary by serialization) and a copy-on-write snapshot of the stage's
 // input datasets, then serves task RPCs over its socketpair until told to
 // shut down. Map tasks read the inherited inputs by (partition, row range)
-// and ship serialized shuffle buckets back; reduce tasks receive canonically
-// presorted shuffle partitions, run the reducer, and ship the output rows
-// back. A heartbeat thread keeps liveness flowing while a long task runs.
+// and ship back row references — (Time, source row index) per destination
+// partition — never rows: the driver holds the same input rows and builds
+// every shuffle bucket itself. Reduce tasks receive canonically presorted
+// shuffle partitions, run the reducer, and ship the output rows back. A
+// heartbeat thread keeps liveness flowing while a long task runs.
 
 #pragma once
 
@@ -50,12 +52,20 @@ struct MapTaskSpec {
   int parts = 0;
   bool quarantine = false;
   bool skew_enabled = false;
-  bool may_move = false;  // move rows out of src (consumable input)
   uint64_t sample_mask = 0;
 };
 
+/// A routed row: its Time cell and its index in the morsel's source
+/// partition. The shuffle sorts refs by time and compares the referenced
+/// rows only on a time tie.
+struct RowRef {
+  int64_t time = 0;
+  uint64_t row = 0;
+  bool operator==(const RowRef&) const = default;
+};
+
 struct MapTaskResult {
-  std::vector<std::vector<Row>> buckets;  // per destination partition
+  std::vector<std::vector<RowRef>> refs;  // per destination partition
   std::vector<Row> quarantined;           // [input_idx, cells...] poison rows
   std::string first_bad;  // first schema-violation message ("" = none)
   uint64_t rows_in = 0;
@@ -65,13 +75,22 @@ struct MapTaskResult {
   std::vector<std::pair<uint64_t, uint32_t>> sketch;
 };
 
-/// Route one morsel's rows into per-destination buckets. Errors (partitioner
-/// target out of range, an escaped partitioner exception) return non-OK;
-/// quarantined rows are not errors. `abort` (optional) makes the task return
-/// early when another morsel failed.
+/// Route one morsel's rows: one RowRef per (row, target partition). The
+/// task neither moves nor copies a routed row. Errors (partitioner target
+/// out of range, an escaped partitioner exception) return non-OK;
+/// quarantined rows are not errors. A row whose Time cell is not an int64
+/// gets a ref with time 0: the shuffle, which reads every referenced row's
+/// Time, reports it. `abort` (optional) makes the task return early when
+/// another morsel failed.
 Status RunMapTask(const StageInputs& in, const MapTaskSpec& spec,
                   MapTaskResult* out,
                   const std::atomic<bool>* abort = nullptr);
+
+/// Check a map result against the task that produced it before the driver
+/// dereferences any of its refs: exactly spec.parts buckets, and every ref's
+/// row inside the morsel's [begin, end). A worker's map response is input
+/// from outside the driver.
+Status CheckMapResult(const MapTaskSpec& spec, const MapTaskResult& result);
 
 // -------------------------------------------- shared reduce attempt body --
 

@@ -9,12 +9,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "mr/cluster.h"
 #include "mr/driver.h"
 #include "mr/fault.h"
+#include "mr/runtime_util.h"
 #include "timr/suite.h"
 
 namespace timr::mr {
@@ -376,6 +379,132 @@ TEST(Cluster, ConsumableIgnoredForDuplicateInputName) {
   EXPECT_EQ(r[1].AsInt64(), 2);  // both sides saw both rows
   EXPECT_EQ(r[2].AsInt64(), 2);
   EXPECT_EQ(store.at("in").TotalRows(), 2u);  // source intact
+}
+
+/// Runs `stage` over a copy of `input` with the input consumable, and again
+/// with it not consumable; returns both outputs and checks the consumed copy
+/// was released.
+std::pair<Dataset, Dataset> RunConsumedAndKept(MRStage stage,
+                                               const Dataset& input,
+                                               int workers) {
+  const auto run = [&](bool consumable) {
+    std::map<std::string, Dataset> store;
+    store["in"] = input;
+    stage.consumable_inputs.clear();
+    if (consumable) stage.consumable_inputs = {0};
+    LocalCluster cluster(4, 2);
+    cluster.set_process_options(Workers(workers));
+    StageStats stats;
+    const Status st = cluster.RunStage(stage, &store, &stats);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(store.at("in").TotalRows(), consumable ? 0u : input.TotalRows());
+    return store.at("out");
+  };
+  Dataset consumed = run(true);
+  return {std::move(consumed), run(false)};
+}
+
+TEST(Cluster, CopartitionedConsumableInputIsHandedOverWhole) {
+  // An input already partitioned by the stage's key, each partition in
+  // canonical order, routes every partition whole to one bucket in order:
+  // the bucket takes the partition's rows over instead of copying them.
+  // Partition 0 is left out of order, so its bucket is sorted and copied.
+  constexpr int kParts = 4;
+  const KeyHashFn hash = MakeKeyHasher({{1}});
+  Dataset input(RowSchema(), kParts);
+  const Dataset rows = BigData(4000);
+  for (const Row& row : rows.partition(0)) {
+    input.partition(hash(0, row) % kParts).push_back(row);
+  }
+  for (int p = 1; p < kParts; ++p) {
+    std::sort(input.partition(p).begin(), input.partition(p).end(),
+              RowTimeLess);
+  }
+  ASSERT_FALSE(std::is_sorted(input.partition(0).begin(),
+                              input.partition(0).end(), RowTimeLess));
+  MRStage stage = IdentityStage("in", "out", 1);
+  stage.num_partitions = kParts;
+
+  for (const int workers : BackendWorkers()) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const auto [consumed, kept] = RunConsumedAndKept(stage, input, workers);
+    EXPECT_EQ(consumed.Gather(), kept.Gather());
+  }
+
+  // In-process, the reducer sees the source rows' own cell buffers.
+  std::map<std::string, Dataset> store;
+  store["in"] = input;
+  std::set<const Value*> handed;
+  for (int p = 1; p < kParts; ++p) {
+    for (const Row& row : store.at("in").partition(p)) handed.insert(row.data());
+  }
+  std::atomic<size_t> own{0};
+  stage.consumable_inputs = {0};
+  stage.reducer = [&](int, const std::vector<std::vector<Row>>& inputs,
+                      std::vector<Row>* output) {
+    for (const Row& row : inputs[0]) own += handed.count(row.data());
+    *output = inputs[0];
+    return Status::OK();
+  };
+  LocalCluster cluster(4, 2);
+  StageStats stats;
+  ASSERT_TRUE(cluster.RunStage(stage, &store, &stats).ok());
+  EXPECT_EQ(own.load(), handed.size());
+  EXPECT_EQ(store.at("out").TotalRows(), input.TotalRows());
+}
+
+TEST(Cluster, ReplicatedRowsFromAConsumableInputReachEveryTarget) {
+  // Temporal partitioning over a consumable input: each row goes to the span
+  // holding its time, and a row within kOverlap of the next span also to that
+  // span. Every target gets its own copy of a replicated row.
+  constexpr int64_t kSpan = 250;
+  constexpr int64_t kOverlap = 20;
+  MRStage stage = IdentityStage("in", "out", 1);
+  stage.num_partitions = 4;
+  stage.partition_fn = [](int, const Row& row, int parts,
+                          std::vector<int>* t) {
+    const int64_t time = row[0].AsInt64();
+    const int span = static_cast<int>(time / kSpan);
+    t->push_back(span);
+    if (time % kSpan >= kSpan - kOverlap && span + 1 < parts) {
+      t->push_back(span + 1);
+    }
+  };
+  stage.reducer = [](int p, const std::vector<std::vector<Row>>& inputs,
+                     std::vector<Row>* output) {
+    for (const Row& row : inputs[0]) {
+      output->push_back({row[0], Value(int64_t{p}), row[2]});
+    }
+    return Status::OK();
+  };
+  const Dataset input = BigData(6000);
+  size_t boundary_rows = 0;
+  for (const Row& row : input.partition(0)) {
+    const int64_t time = row[0].AsInt64();
+    boundary_rows += time % kSpan >= kSpan - kOverlap && time < 3 * kSpan;
+  }
+  ASSERT_GT(boundary_rows, 0u);
+
+  for (const int workers : BackendWorkers()) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const auto [consumed, kept] = RunConsumedAndKept(stage, input, workers);
+    EXPECT_EQ(consumed.Gather(), kept.Gather());
+    EXPECT_EQ(consumed.TotalRows(), input.TotalRows() + boundary_rows);
+    // Each source row (unique Val) reaches exactly its targets.
+    std::map<int64_t, std::set<int64_t>> parts_of_row;
+    for (const Row& row : consumed.Gather()) {
+      parts_of_row[row[2].AsInt64()].insert(row[1].AsInt64());
+    }
+    ASSERT_EQ(parts_of_row.size(), input.TotalRows());
+    for (const Row& row : input.partition(0)) {
+      const int64_t time = row[0].AsInt64();
+      std::set<int64_t> want = {time / kSpan};
+      if (time % kSpan >= kSpan - kOverlap && time < 3 * kSpan) {
+        want.insert(time / kSpan + 1);
+      }
+      EXPECT_EQ(parts_of_row[row[2].AsInt64()], want) << "time " << time;
+    }
+  }
 }
 
 TEST(Cluster, OutOfRangeTargetErrorsUnderParallelMap) {

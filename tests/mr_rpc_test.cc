@@ -320,7 +320,6 @@ TEST(RpcMessages, MapRequestRoundTrip) {
   spec.parts = 8;
   spec.quarantine = true;
   spec.skew_enabled = true;
-  spec.may_move = true;
   spec.sample_mask = 0xFF;
   std::string payload;
   wire::EncodeMapRequest(spec, &payload);
@@ -336,7 +335,6 @@ TEST(RpcMessages, MapRequestRoundTrip) {
   EXPECT_EQ(got.parts, spec.parts);
   EXPECT_EQ(got.quarantine, spec.quarantine);
   EXPECT_EQ(got.skew_enabled, spec.skew_enabled);
-  EXPECT_EQ(got.may_move, spec.may_move);
   EXPECT_EQ(got.sample_mask, spec.sample_mask);
 
   uint32_t tid, disp;
@@ -350,7 +348,7 @@ TEST(RpcMessages, MapResponseRoundTripWithResult) {
   resp.task_id = 9;
   resp.dispatch = 1;
   resp.status = Status::OK();
-  resp.result.buckets = {{TestRows()[0]}, {}, {TestRows()[1], TestRows()[2]}};
+  resp.result.refs = {{{5, 0}}, {}, {{-3, 1}, {INT64_MAX, 2}}};
   resp.result.quarantined = {{Value(int64_t{0}), Value("bad")}};
   resp.result.first_bad = "row 3: arity mismatch";
   resp.result.rows_in = 17;
@@ -363,12 +361,50 @@ TEST(RpcMessages, MapResponseRoundTripWithResult) {
   ASSERT_TRUE(wire::DecodeMapResponse(payload, &got).ok());
   EXPECT_EQ(got.task_id, 9u);
   EXPECT_TRUE(got.status.ok());
-  EXPECT_EQ(got.result.buckets, resp.result.buckets);
+  EXPECT_EQ(got.result.refs, resp.result.refs);
   EXPECT_EQ(got.result.quarantined, resp.result.quarantined);
   EXPECT_EQ(got.result.first_bad, resp.result.first_bad);
   EXPECT_EQ(got.result.rows_in, 17u);
   EXPECT_EQ(got.result.rows_shuffled, 15u);
   EXPECT_EQ(got.result.sketch, resp.result.sketch);
+}
+
+TEST(RpcMessages, MapResultRefsMustStayInsideTheirTask) {
+  // A decodable map response still comes from outside the driver: its refs
+  // index into the driver's datasets, so the bucket count and every row index
+  // are checked against the task before the driver reads a referenced row.
+  MapTaskSpec spec;
+  spec.begin = 100;
+  spec.end = 200;
+  spec.parts = 2;
+  const auto decoded = [](const MapTaskResult& result) {
+    wire::MapResponse resp;
+    resp.result = result;
+    std::string payload;
+    wire::EncodeMapResponse(resp, &payload);
+    wire::MapResponse got;
+    EXPECT_TRUE(wire::DecodeMapResponse(payload, &got).ok());
+    return got.result;
+  };
+  MapTaskResult good;
+  good.refs = {{{7, 100}}, {{7, 199}}};
+  EXPECT_TRUE(CheckMapResult(spec, decoded(good)).ok());
+
+  MapTaskResult past_end = good;
+  past_end.refs[1].push_back({8, 200});
+  MapTaskResult before_begin = good;
+  before_begin.refs[0].push_back({8, 99});
+  MapTaskResult huge = good;
+  huge.refs[0].push_back({8, UINT64_MAX});
+  MapTaskResult too_few;
+  too_few.refs = {{{7, 100}}};
+  MapTaskResult too_many = good;
+  too_many.refs.emplace_back();
+  for (const MapTaskResult* bad :
+       {&past_end, &before_begin, &huge, &too_few, &too_many}) {
+    const Status st = CheckMapResult(spec, decoded(*bad));
+    EXPECT_EQ(st.code(), StatusCode::kRpcError) << st.ToString();
+  }
 }
 
 TEST(RpcMessages, MapResponseCarriesErrorStatus) {
@@ -440,7 +476,7 @@ TEST(RpcMessages, EveryDecoderRejectsTruncationCleanly) {
   spec.task_id = 1;
   wire::EncodeMapRequest(spec, &payloads[0]);
   wire::MapResponse mresp;
-  mresp.result.buckets = {TestRows()};
+  mresp.result.refs = {{{1, 0}, {2, 1}}};
   wire::EncodeMapResponse(mresp, &payloads[1]);
   wire::ReduceRequest rreq;
   rreq.input_schemas = {TestSchema()};
