@@ -48,7 +48,13 @@ struct Batch {
   std::exception_ptr error;
 };
 
+thread_local bool t_hand_off = false;
+
 }  // namespace
+
+ThreadPool::HandOff::HandOff() : saved_(t_hand_off) { t_hand_off = true; }
+
+ThreadPool::HandOff::~HandOff() { t_hand_off = saved_; }
 
 ThreadPool::ThreadPool(size_t num_threads) {
   TIMR_CHECK(num_threads > 0);
@@ -82,26 +88,31 @@ void ThreadPool::WaitIdle() {
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& body) {
   if (n == 0) return;
-  if (n == 1 || threads_.size() == 1) {
+  const bool hand_off = t_hand_off;
+  if (!hand_off && (n == 1 || threads_.size() == 1)) {
     // Inline serial path: no scheduling overhead, exceptions propagate as-is.
     for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
   auto batch = std::make_shared<Batch>(n, body);
-  // n - 1 helpers at most: the caller claims iterations too, so a batch
+  // n - 1 helpers at most when the caller claims iterations too, so a batch
   // smaller than the pool doesn't enqueue tasks that find nothing to do.
-  const size_t helpers = std::min(threads_.size(), n - 1);
+  const size_t helpers = std::min(threads_.size(), hand_off ? n : n - 1);
   for (size_t i = 0; i < helpers; ++i) {
     Submit([batch] { batch->Run(); });
   }
-  batch->Run();
+  if (!hand_off) batch->Run();
   {
     std::unique_lock<std::mutex> lock(batch->mu);
     batch->cv.wait(lock, [&] {
       return batch->completed.load(std::memory_order_acquire) == n;
     });
   }
-  if (batch->error != nullptr) std::rethrow_exception(batch->error);
+  // Take the exception out of the batch: a helper task may release the batch
+  // last, and the exception must die on this thread, after its handler.
+  if (std::exception_ptr error = std::move(batch->error)) {
+    std::rethrow_exception(std::move(error));
+  }
 }
 
 void ThreadPool::WorkerLoop() {

@@ -1,7 +1,8 @@
 // Fixed-size thread pool used by the LocalCluster to run shuffle and reducer
 // tasks. Tasks are fire-and-forget std::function<void()>; callers synchronize
-// with WaitIdle. ParallelFor is the bulk-submit primitive the cluster's
-// parallel pipeline is built on.
+// with WaitIdle or their own completion signal. ParallelFor is the
+// bulk-submit primitive the cluster's parallel pipeline is built on; several
+// threads may issue ParallelFor batches on one pool at once.
 
 #pragma once
 
@@ -37,8 +38,27 @@ class ThreadPool {
   /// skipped and the first exception (by completion order) is rethrown on the
   /// calling thread once the batch has drained. With a single-threaded pool
   /// (or n == 1) the body runs inline on the caller, so single-thread
-  /// execution is exactly the serial loop.
+  /// execution is exactly the serial loop. Under a HandOff on the calling
+  /// thread, every iteration runs on the pool instead, and the caller only
+  /// waits.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
+
+  /// While alive, ParallelFor calls on the constructing thread hand every
+  /// iteration to the pool's threads and only wait for them. For threads
+  /// outside the pool that drive work on it beside other such threads, so
+  /// that the pool's threads do all of the work (and the allocating). Never
+  /// construct one on a pool thread: its ParallelFor could then wait for
+  /// iterations queued behind itself.
+  class HandOff {
+   public:
+    HandOff();
+    ~HandOff();
+    HandOff(const HandOff&) = delete;
+    HandOff& operator=(const HandOff&) = delete;
+
+   private:
+    bool saved_;
+  };
 
   size_t num_threads() const { return threads_.size(); }
 

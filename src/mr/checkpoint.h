@@ -3,13 +3,14 @@
 // In the paper, every stage's output lives in the distributed store, so a job
 // that dies between stages restarts from the last completed stage for free.
 // Our in-process store dies with the driver; CheckpointStore stands in for the
-// durable layer: after each completed stage, LocalCluster::RunJobStage
-// snapshots the datasets that stage wrote plus the names of the input datasets
-// it *released* (consumed, see MRStage::consumable_inputs); ResumeJob replays
-// those records in order — re-inserting outputs and re-releasing consumed
-// inputs — which reproduces the exact store state the job had after its last
-// checkpoint, so the resumed job provably produces bit-identical final output
-// (mr_cluster_test.cc chaos suite).
+// durable layer: as each completed stage commits (in stage order), the job
+// loop (LocalCluster::RunJobStages) snapshots the datasets that stage wrote
+// plus the names of the input datasets it *released* (consumed, see
+// MRStage::consumable_inputs); ResumeJob replays those records in order —
+// re-inserting outputs and re-releasing consumed inputs — which reproduces
+// the exact store state the job had after its last checkpoint, so the resumed
+// job provably produces bit-identical final output (mr_cluster_test.cc chaos
+// suite).
 //
 // Two storage modes:
 //  - in-memory (default): snapshots are deep copies held by this object;

@@ -40,6 +40,18 @@
 // functions of the input data, so outputs stay bit-identical across thread
 // counts, retries, and chaos; see SkewPolicy in stage.h.
 //
+// A job (RunJob, or TiMR's fragment loop through RunJobStages) is a DAG of
+// stages, as Dryad's job manager sees it (paper §III): a stage starts once
+// every stage it depends on has finished, and up to one stage per pool thread
+// runs at once. Two stages depend on each other when they touch one dataset
+// and at least one of them writes it (produces or consumes it); the lower
+// index goes first, so every stage sees exactly the store a sequential run
+// would show it and every output is the same for any thread count. A lone
+// ready stage runs on the calling thread, so a chain of stages runs as a
+// plain sequence; a worker-gang stage takes the whole pool, so gang stages
+// run one at a time. Checkpoints commit in stage order whatever order the
+// stages finish in.
+//
 // Because this host has few cores while the paper's cluster had ~150
 // machines, every task's CPU time is measured (CLOCK_THREAD_CPUTIME_ID) and a
 // deterministic list-scheduling model computes the *simulated* parallel
@@ -48,6 +60,7 @@
 
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -71,6 +84,11 @@ struct StageStats {
   // Actual elapsed on this host, from stage start to the published output,
   // including freeing the shuffle buckets after the last reduce attempt.
   double wall_seconds = 0;
+  // When the stage's run began and ended, in seconds since its job's stages
+  // began to run (zero outside a job and for recovered stages). Stages of one
+  // job may overlap: these place each stage in the job's schedule.
+  double start_seconds = 0;
+  double end_seconds = 0;
   // Per-phase wall time (sums to ~wall_seconds); lets benches attribute a
   // stage's cost to routing, sorting, or the reducers.
   double map_shuffle_seconds = 0;     // phase 1: parallel map + routing
@@ -128,11 +146,6 @@ struct JobStats {
   double TotalSimulatedSeconds() const {
     double t = 0;
     for (const auto& s : stages) t += s.simulated_parallel_seconds;
-    return t;
-  }
-  double TotalWallSeconds() const {
-    double t = 0;
-    for (const auto& s : stages) t += s.wall_seconds;
     return t;
   }
   std::string ToString() const;
@@ -221,28 +234,46 @@ class LocalCluster {
   /// Run one stage against the named datasets; adds the output under
   /// stage.output (and `<stage>.quarantine` when quarantine is enabled) and
   /// records stats. On failure nothing is added to the store, though inputs
-  /// consumed by the map phase may already have been released.
+  /// consumed by the map phase may already have been released. Stages may
+  /// run from several threads at once on one cluster and one store: the
+  /// cluster looks datasets up and adds them under one lock.
   Status RunStage(const MRStage& stage, std::map<std::string, Dataset>* store,
                   StageStats* stats);
 
-  /// Run stages in order against `store` (must already hold all external
-  /// inputs); intermediate and final outputs are added to the store.
+  /// Run a job against `store` (must already hold all external inputs):
+  /// resume past options.checkpoint's prefix, then RunJobStages. Intermediate
+  /// and final outputs are added to the store.
   Result<JobStats> RunJob(const std::vector<MRStage>& stages,
                           std::map<std::string, Dataset>* store,
                           const JobOptions& options = JobOptions());
 
-  /// RunJob's two halves, for drivers that build stage i only once stages < i
-  /// have run. ResumeJob restores options.checkpoint's prefix of
-  /// `stage_names` into `store`, appends a recovered StageStats per restored
-  /// stage, and returns the index to resume from. RunJobStage runs stage
-  /// `index` of `num_stages`, appends its stats, checkpoints its outputs and
-  /// released inputs, and applies options.chaos_kill_after_stages.
+  /// Restores options.checkpoint's prefix of `stage_names` into `store`,
+  /// appends a recovered StageStats per restored stage, and returns the index
+  /// to resume from.
   Result<size_t> ResumeJob(const std::vector<std::string>& stage_names,
                            std::map<std::string, Dataset>* store,
                            const JobOptions& options, JobStats* job);
-  Status RunJobStage(size_t index, size_t num_stages, const MRStage& stage,
-                     std::map<std::string, Dataset>* store,
-                     const JobOptions& options, JobStats* job);
+
+  /// Makes the runnable form of stage `index` once every stage it depends on
+  /// has finished. `inputs[i]` is its i-th input dataset (nullptr when the
+  /// store has none of that name).
+  using StageBuilder = std::function<Result<MRStage>(
+      size_t index, const std::vector<const Dataset*>& inputs)>;
+
+  /// The job loop: run stages [resume_from, stages.size()) as a DAG (see the
+  /// header comment). `stages` declares what each stage reads, consumes and
+  /// writes (name, inputs, consumable_inputs, output); `build` makes each
+  /// stage when it is about to run, and must keep those four fields. Every
+  /// stage's stats are appended to `job` in stage order as it commits: it
+  /// checkpoints its outputs and released inputs, and applies
+  /// options.chaos_kill_after_stages. With a checkpoint, a stage's dependents
+  /// start only once it has committed. On failure no further stage starts,
+  /// the stages already running finish, the stages before the failing one
+  /// still run and commit, and the lowest-indexed failure is returned.
+  Status RunJobStages(const std::vector<MRStage>& stages, size_t resume_from,
+                      const StageBuilder& build,
+                      std::map<std::string, Dataset>* store,
+                      const JobOptions& options, JobStats* job);
 
  private:
   int num_machines_;

@@ -28,8 +28,13 @@ class ThreadBackend final : public TaskBackend {
  public:
   ThreadBackend(ThreadPool* pool, const StageInputs& in)
       : pool_(pool), in_(in) {}
-  // Every attempt closure must unwind before the queue it reports into dies.
-  ~ThreadBackend() override { pool_->WaitIdle(); }
+  // Every attempt closure must be done with the queue it reports into before
+  // the queue dies. Only this stage's attempts count: the pool may be running
+  // other stages' tasks.
+  ~ThreadBackend() override {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return live_ == 0; });
+  }
 
   size_t parallelism() const override { return pool_->num_threads(); }
 
@@ -45,11 +50,16 @@ class ThreadBackend final : public TaskBackend {
   }
 
   void StartReduce(const ReduceAttemptContext& ctx) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++live_;
+    }
     pool_->Submit([this, ctx] {
       AttemptReport report = RunReduceAttempt(ctx);
       std::lock_guard<std::mutex> lock(mu_);
       done_.push_back(std::move(report));
-      cv_.notify_one();
+      --live_;
+      cv_.notify_all();
     });
   }
 
@@ -72,6 +82,7 @@ class ThreadBackend final : public TaskBackend {
   std::mutex mu_;
   std::condition_variable cv_;
   std::vector<AttemptReport> done_;
+  size_t live_ = 0;  // attempts started and not yet reported
 };
 
 class StagePipeline {
@@ -122,14 +133,17 @@ Status StagePipeline::Run(std::map<std::string, Dataset>* store) {
                                      : env_.num_machines;
   stats_->partitions = parts_;
   in_.stage = &stage_;
-  for (const auto& name : stage_.inputs) {
-    auto it = store->find(name);
-    if (it == store->end()) {
-      return Status::KeyError("stage " + stage_.name + ": no dataset named " +
-                              name);
+  {
+    std::lock_guard<std::mutex> lock(*env_.store_mu);
+    for (const auto& name : stage_.inputs) {
+      auto it = store->find(name);
+      if (it == store->end()) {
+        return Status::KeyError("stage " + stage_.name +
+                                ": no dataset named " + name);
+      }
+      in_.datasets.push_back(&it->second);
+      in_.schemas.push_back(it->second.schema());
     }
-    in_.datasets.push_back(&it->second);
-    in_.schemas.push_back(it->second.schema());
   }
   consumable_ = ConsumableInputFlags(stage_);
 
@@ -650,6 +664,7 @@ void StagePipeline::Publish(std::map<std::string, Dataset>* store) {
   }
   stats_->wall_seconds = wall_.ElapsedSeconds();
 
+  std::lock_guard<std::mutex> lock(*env_.store_mu);
   (*store)[stage_.output] = std::move(output);
   if (env_.fault->quarantine_inputs) {
     (*store)[QuarantineDatasetName(stage_.name)] = std::move(quarantine_out_);

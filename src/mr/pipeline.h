@@ -28,6 +28,7 @@
 
 #include <chrono>
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -68,6 +69,7 @@ class TaskBackend {
 /// What a stage run needs from the owning LocalCluster.
 struct StageEnv {
   ThreadPool* pool = nullptr;          // map/sort work and the thread backend
+  std::mutex* store_mu = nullptr;      // held to look up and add datasets
   FaultInjector* injector = nullptr;   // probed once per reduce attempt
   const FaultToleranceOptions* fault = nullptr;
   const ProcessOptions* process = nullptr;  // workers > 0: worker-gang backend

@@ -1,6 +1,7 @@
 #include "timr/timr.h"
 
 #include <atomic>
+#include <iterator>
 #include <memory>
 #include <sstream>
 
@@ -256,30 +257,43 @@ Status RunFragments(mr::LocalCluster* cluster, const FragmentedPlan& plan,
   // *consumed* by its final reader — the shuffle then moves its rows instead
   // of copying them and releases the dataset's partitions. A dataset read by
   // several fragments is consumable only at the highest-indexed one; external
-  // sources and protected outputs are never consumed.
+  // sources and protected outputs are never consumed. The declared stages
+  // carry what each fragment reads, consumes and writes: the job's edges.
   std::map<std::string, size_t> last_use;
   for (size_t f = 0; f < fragments.size(); ++f) {
     for (const std::string& name : fragments[f].inputs) last_use[name] = f;
   }
-
-  for (size_t frag_index = 0; frag_index < fragments.size(); ++frag_index) {
-    const Fragment& fragment = fragments[frag_index];
-    FragmentStats fstats;
-    fstats.name = fragment.name;
-    if (frag_index < resume_from) {
-      fragment_stats->push_back(std::move(fstats));
-      continue;
-    }
-    // Resolve input row schemas from the (evolving) store.
-    std::vector<Schema> row_schemas;
-    std::vector<const mr::Dataset*> datasets;
-    for (const std::string& name : fragment.inputs) {
-      auto it = store->find(name);
-      if (it == store->end()) {
-        return Status::KeyError("TiMR: dataset not found: " + name);
+  std::vector<mr::MRStage> declared(fragments.size());
+  std::vector<FragmentStats> fstats(fragments.size());
+  for (size_t f = 0; f < fragments.size(); ++f) {
+    const Fragment& fragment = fragments[f];
+    fstats[f].name = fragment.name;
+    mr::MRStage& stage = declared[f];
+    stage.name = fragment.name;
+    stage.inputs = fragment.inputs;
+    stage.output = fragment.name;
+    for (size_t i = 0; i < fragment.inputs.size(); ++i) {
+      const std::string& name = fragment.inputs[i];
+      if (!fragment.input_is_external[i] && last_use.at(name) == f &&
+          protected_outputs.count(name) == 0) {
+        stage.consumable_inputs.push_back(static_cast<int>(i));
       }
-      row_schemas.push_back(it->second.schema());
-      datasets.push_back(&it->second);
+    }
+  }
+
+  // Compile each fragment once its inputs exist: a temporal one needs their
+  // time range.
+  const auto build = [&](size_t frag_index,
+                         const std::vector<const mr::Dataset*>& datasets)
+      -> Result<mr::MRStage> {
+    const Fragment& fragment = fragments[frag_index];
+    std::vector<Schema> row_schemas;
+    for (size_t i = 0; i < datasets.size(); ++i) {
+      if (datasets[i] == nullptr) {
+        return Status::KeyError("TiMR: dataset not found: " +
+                                fragment.inputs[i]);
+      }
+      row_schemas.push_back(datasets[i]->schema());
     }
     std::pair<Timestamp, Timestamp> range{0, 0};
     if (fragment.key.kind == PartitionSpec::Kind::kTemporal) {
@@ -288,25 +302,23 @@ Status RunFragments(mr::LocalCluster* cluster, const FragmentedPlan& plan,
     TIMR_ASSIGN_OR_RETURN(
         mr::MRStage stage,
         CompileFragment(fragment, row_schemas, cluster->num_machines(), options,
-                        range, &fstats));
-    for (size_t i = 0; i < fragment.inputs.size(); ++i) {
-      const std::string& name = fragment.inputs[i];
-      if (!fragment.input_is_external[i] && last_use.at(name) == frag_index &&
-          protected_outputs.count(name) == 0) {
-        stage.consumable_inputs.push_back(static_cast<int>(i));
-      }
-    }
+                        range, &fstats[frag_index]));
+    stage.consumable_inputs = declared[frag_index].consumable_inputs;
     if (options.validate_streams) {
       TIMR_RETURN_NOT_OK(analysis::CheckStage(plan, frag_index, stage,
                                               protected_outputs)
                              .ToStatus());
     }
-    TIMR_RETURN_NOT_OK(cluster->RunJobStage(frag_index, fragments.size(),
-                                            stage, store, options.job,
-                                            job_stats));
-    fstats.engine_events_consumed = fstats.engine_events->load();
-    fragment_stats->push_back(std::move(fstats));
+    return stage;
+  };
+  TIMR_RETURN_NOT_OK(cluster->RunJobStages(declared, resume_from, build, store,
+                                           options.job, job_stats));
+  for (size_t f = resume_from; f < fragments.size(); ++f) {
+    fstats[f].engine_events_consumed = fstats[f].engine_events->load();
   }
+  fragment_stats->insert(fragment_stats->end(),
+                         std::make_move_iterator(fstats.begin()),
+                         std::make_move_iterator(fstats.end()));
   return Status::OK();
 }
 

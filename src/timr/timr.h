@@ -5,7 +5,7 @@
 // Pipeline (paper Figure 5):
 //   annotated CQ plan --MakeFragments--> {fragment, key} pairs
 //                     --CompileFragment--> M-R stages
-//                     --LocalCluster::ResumeJob/RunJobStage--> output dataset
+//                     --LocalCluster::ResumeJob/RunJobStages--> output dataset
 //
 // Each stage's reducer is the paper's P: it converts partition rows to point
 // (or interval) events, pumps them through a freshly instantiated embedded
@@ -127,11 +127,12 @@ Result<mr::MRStage> CompileFragment(
     FragmentStats* stats);
 
 /// The job loop behind RunPlanSet (suite.h): restore options.job's
-/// checkpointed prefix, then compile each remaining fragment (only once its
-/// inputs exist: a temporal one needs their time range) and run it through
-/// LocalCluster::RunJobStage. `store` must hold the plan's external sources
-/// and nothing named like a fragment; `protected_outputs` are never released.
-/// Appends one StageStats and one FragmentStats per fragment.
+/// checkpointed prefix, then run the remaining fragments as a DAG through
+/// LocalCluster::RunJobStages, compiling each once its inputs exist (a
+/// temporal one needs their time range). Fragments that do not depend on
+/// each other run side by side. `store` must hold the plan's external
+/// sources and nothing named like a fragment; `protected_outputs` are never
+/// released. Appends one StageStats and one FragmentStats per fragment.
 Status RunFragments(mr::LocalCluster* cluster, const FragmentedPlan& plan,
                     const std::set<std::string>& protected_outputs,
                     std::map<std::string, mr::Dataset>* store,

@@ -5,10 +5,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <future>
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <variant>
 #include <vector>
@@ -401,6 +405,84 @@ TEST(ThreadPool, ParallelForBatchesInterleaveWithSubmittedTasks) {
   pool.WaitIdle();
   EXPECT_EQ(submitted.load(), 50);
   EXPECT_EQ(looped.load(), 200);
+}
+
+// Stages on one cluster issue ParallelFor batches from several threads at
+// once: each caller must get exactly its own iterations and its own first
+// exception, never another batch's.
+TEST(ThreadPool, ConcurrentCallersGetTheirOwnIterationsAndException) {
+  ThreadPool pool(3);
+  for (int round = 0; round < 20; ++round) {
+    constexpr size_t kN = 400;
+    std::vector<std::atomic<int>> hits_a(kN);
+    std::vector<std::atomic<int>> hits_b(kN);
+    std::string caught_a;
+    std::string caught_b;
+    const auto run = [&](std::vector<std::atomic<int>>* hits, size_t bad,
+                         const std::string& what, std::string* caught) {
+      try {
+        pool.ParallelFor(kN, [&, hits](size_t i) {
+          (*hits)[i].fetch_add(1);
+          if (i == bad) throw std::runtime_error(what);
+        });
+      } catch (const std::runtime_error& e) {
+        *caught = e.what();
+      }
+    };
+    std::thread a([&] { run(&hits_a, SIZE_MAX, "a", &caught_a); });
+    std::thread b([&] { run(&hits_b, 200, "b", &caught_b); });
+    a.join();
+    b.join();
+    // A ran clean: every one of its iterations exactly once.
+    for (const auto& h : hits_a) EXPECT_EQ(h.load(), 1);
+    EXPECT_EQ(caught_a, "");
+    // B threw: its own exception, and no iteration ran twice.
+    EXPECT_EQ(caught_b, "b");
+    EXPECT_EQ(hits_b[200].load(), 1);
+    for (const auto& h : hits_b) EXPECT_LE(h.load(), 1);
+  }
+}
+
+// A pool task that issues a ParallelFor claims iterations itself, so the
+// batch completes even when every pool thread is such a task.
+TEST(ThreadPool, ParallelForInsidePoolTaskCompletes) {
+  ThreadPool pool(2);
+  std::vector<std::promise<int>> done(2);
+  for (auto& d : done) {
+    pool.Submit([&pool, &d] {
+      std::atomic<int> n{0};
+      pool.ParallelFor(100, [&](size_t) { n.fetch_add(1); });
+      d.set_value(n.load());
+    });
+  }
+  for (auto& d : done) {
+    std::future<int> f = d.get_future();
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+    EXPECT_EQ(f.get(), 100);
+  }
+}
+
+TEST(ThreadPool, HandOffRunsEveryIterationOnThePool) {
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> on_caller{0};
+  std::atomic<int> ran{0};
+  {
+    ThreadPool::HandOff hand_off;
+    for (size_t n : {size_t{1}, size_t{64}}) {
+      pool.ParallelFor(n, [&](size_t) {
+        ran.fetch_add(1);
+        if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+      });
+    }
+  }
+  EXPECT_EQ(ran.load(), 65);
+  EXPECT_EQ(on_caller.load(), 0);
+  // Out of scope, the caller helps again: a 1-iteration batch runs inline.
+  pool.ParallelFor(1, [&](size_t) {
+    if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+  });
+  EXPECT_EQ(on_caller.load(), 1);
 }
 
 }  // namespace

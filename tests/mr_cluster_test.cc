@@ -11,14 +11,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bt/queries.h"
@@ -246,6 +250,85 @@ TEST(Cluster, JobRunsStagesInOrder) {
   EXPECT_EQ(stats.ValueOrDie().stages.size(), 2u);
   EXPECT_EQ(store.at("out").TotalRows(), 2u);
   EXPECT_GE(stats.ValueOrDie().TotalSimulatedSeconds(), 0.0);
+}
+
+// Two stages run on one pool from two threads: stage B must finish while
+// stage A's reducer is still held, so no stage waits for another stage's
+// tasks. A is released after 5 s at the latest, so a runtime that makes B
+// wait fails here instead of hanging.
+TEST(Cluster, StagesOnOnePoolDoNotWaitOnEachOther) {
+  LocalCluster cluster(2, 4);
+  std::map<std::string, Dataset> store;
+  store["a_in"] = MakeData({{1, 1, 1}});
+  store["b_in"] = MakeData({{1, 1, 1}, {2, 2, 2}});
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool released = false;
+  bool a_done = false;
+  MRStage a = IdentityStage("a_in", "a_out", 1);
+  a.name = "a";
+  a.num_partitions = 1;
+  a.reducer = [&](int, const std::vector<std::vector<Row>>& inputs,
+                  std::vector<Row>* output) {
+    std::unique_lock<std::mutex> lock(mu);
+    entered = true;
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(5), [&] { return released; });
+    a_done = true;
+    *output = inputs[0];
+    return Status::OK();
+  };
+  MRStage b = IdentityStage("b_in", "b_out", 1);
+  b.name = "b";
+
+  Status a_status;
+  StageStats a_stats;
+  std::thread ta([&] { a_status = cluster.RunStage(a, &store, &a_stats); });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return entered; });
+  }
+  Status b_status;
+  StageStats b_stats;
+  std::thread tb([&] { b_status = cluster.RunStage(b, &store, &b_stats); });
+  tb.join();
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_FALSE(a_done) << "stage b waited for stage a's reducer";
+    released = true;
+  }
+  cv.notify_all();
+  ta.join();
+  EXPECT_TRUE(a_status.ok()) << a_status.ToString();
+  EXPECT_TRUE(b_status.ok()) << b_status.ToString();
+  EXPECT_EQ(store.at("a_out").TotalRows(), 1u);
+  EXPECT_EQ(store.at("b_out").TotalRows(), 2u);
+}
+
+// Independent stages run side by side, but a failed job reports its
+// lowest-indexed failure, as a sequential run would: here stage 1 fails
+// first while stage 0 is still running into its own failure.
+TEST(Cluster, JobReportsLowestIndexedFailure) {
+  LocalCluster cluster(2, 4);
+  std::map<std::string, Dataset> store;
+  store["in"] = MakeData({{1, 1, 1}});
+  const auto failing = [](std::string name, double delay_seconds) {
+    MRStage stage = IdentityStage("in", name + "_out", 1);
+    stage.name = std::move(name);
+    stage.num_partitions = 1;
+    stage.reducer = [delay_seconds](int, const std::vector<std::vector<Row>>&,
+                                    std::vector<Row>*) {
+      std::this_thread::sleep_for(std::chrono::duration<double>(delay_seconds));
+      return Status::ExecutionError("reducer failed");
+    };
+    return stage;
+  };
+  auto job = cluster.RunJob({failing("slow", 0.05), failing("fast", 0)},
+                            &store);
+  ASSERT_FALSE(job.ok());
+  EXPECT_NE(job.status().message().find("stage slow"), std::string::npos)
+      << job.status().ToString();
 }
 
 // Synthetic data big enough that the map phase splits into several morsels.

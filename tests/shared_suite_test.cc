@@ -271,9 +271,11 @@ TEST(SharedSuite, BitIdenticalUnderChaosSeeds) {
   }
 }
 
-// Kill the merged job mid-way (every query output is a protected dataset in
-// the checkpoint-cut check) and resume from the checkpoint: the restored-
-// prefix run must still produce the clean suite's outputs exactly.
+// Kill the merged job after every stage in turn (every query output is a
+// protected dataset in the checkpoint-cut check) and resume from the
+// checkpoint: the restored-prefix run must still produce the clean suite's
+// outputs exactly. Stages finish out of order but commit in order, so each
+// kill leaves exactly its prefix of committed stages.
 TEST(SharedSuite, KillAndResumeBitIdentical) {
   const auto queries = bt::BtCqSuite(testutil::SmallBtConfig());
 
@@ -282,27 +284,83 @@ TEST(SharedSuite, KillAndResumeBitIdentical) {
   const int num_stages = static_cast<int>(clean.ValueOrDie().num_stages);
   ASSERT_GT(num_stages, 2);
 
-  mr::CheckpointStore checkpoint;
-  {
+  for (int kill_after = 1; kill_after <= num_stages; ++kill_after) {
+    SCOPED_TRACE("kill after " + std::to_string(kill_after) + " stages");
+    mr::CheckpointStore checkpoint;
+    {
+      SuiteOptions opts;
+      opts.timr.job.checkpoint = &checkpoint;
+      opts.timr.job.chaos_kill_after_stages = kill_after;
+      auto killed = RunSuite(queries, opts);
+      ASSERT_FALSE(killed.ok());
+      EXPECT_NE(killed.status().message().find("chaos kill"),
+                std::string::npos);
+    }
+    ASSERT_EQ(checkpoint.num_stages(), static_cast<size_t>(kill_after));
+
     SuiteOptions opts;
     opts.timr.job.checkpoint = &checkpoint;
-    opts.timr.job.chaos_kill_after_stages = num_stages / 2;
-    auto killed = RunSuite(queries, opts);
-    ASSERT_FALSE(killed.ok());
-    EXPECT_NE(killed.status().message().find("chaos kill"), std::string::npos);
+    auto resumed = RunSuite(queries, opts);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    int recovered = 0;
+    for (const auto& s : resumed.ValueOrDie().job_stats.stages) {
+      if (s.recovered_from_checkpoint) ++recovered;
+    }
+    EXPECT_EQ(recovered, kill_after);
+    ExpectOutputsIdentical(clean.ValueOrDie().outputs, resumed.ValueOrDie());
   }
-  ASSERT_EQ(checkpoint.num_stages(), static_cast<size_t>(num_stages / 2));
+}
 
-  SuiteOptions opts;
-  opts.timr.job.checkpoint = &checkpoint;
-  auto resumed = RunSuite(queries, opts);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  int recovered = 0;
-  for (const auto& s : resumed.ValueOrDie().job_stats.stages) {
-    if (s.recovered_from_checkpoint) ++recovered;
+bool AnyStagesOverlap(const mr::JobStats& stats) {
+  for (size_t i = 0; i < stats.stages.size(); ++i) {
+    for (size_t j = i + 1; j < stats.stages.size(); ++j) {
+      const mr::StageStats& a = stats.stages[i];
+      const mr::StageStats& b = stats.stages[j];
+      if (a.start_seconds < b.end_seconds && b.start_seconds < a.end_seconds) {
+        return true;
+      }
+    }
   }
-  EXPECT_EQ(recovered, num_stages / 2);
-  ExpectOutputsIdentical(clean.ValueOrDie().outputs, resumed.ValueOrDie());
+  return false;
+}
+
+// The suite's stages that read shared datasets but not each other run side
+// by side on a 4-thread cluster, and every output is byte-identical to a
+// 1-thread cluster's run, whose stages run one after another in index order.
+TEST(SharedSuite, IndependentStagesOverlapWithIdenticalOutput) {
+  const auto queries = bt::BtCqSuite(testutil::SmallBtConfig());
+  std::vector<SuiteRunResult> runs;
+  for (int threads : {1, 4}) {
+    mr::LocalCluster cluster(/*num_machines=*/8, threads);
+    auto store = SuiteStore();
+    auto run = RunPlanSuite(&cluster, queries, &store);
+    ASSERT_TRUE(run.ok()) << threads << ": " << run.status().ToString();
+    runs.push_back(std::move(run).ValueOrDie());
+  }
+  const mr::JobStats& serial = runs[0].job_stats;
+  ASSERT_EQ(serial.stages.size(), runs[0].num_stages);
+  for (size_t i = 1; i < serial.stages.size(); ++i) {
+    EXPECT_GE(serial.stages[i].start_seconds, serial.stages[i - 1].end_seconds)
+        << serial.stages[i].name;
+  }
+  ASSERT_EQ(runs[1].job_stats.stages.size(), runs[1].num_stages);
+  EXPECT_TRUE(AnyStagesOverlap(runs[1].job_stats))
+      << runs[1].job_stats.ToString();
+  ExpectOutputsIdentical(runs[0].outputs, runs[1]);
+}
+
+// bt_standard's cut is a chain: each stage reads its predecessor's output,
+// so even on a 4-thread cluster its stages never overlap.
+TEST(SharedSuite, BtStandardStagesNeverOverlap) {
+  mr::LocalCluster cluster(/*num_machines=*/8, 4);
+  auto store = SuiteStore();
+  const auto plan = bt::BtFeaturePipeline(testutil::SmallBtConfig(),
+                                          bt::Annotation::kStandard);
+  auto run = framework::RunPlan(&cluster, plan.node(), &store);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const mr::JobStats& stats = run.ValueOrDie().job_stats;
+  ASSERT_GT(stats.stages.size(), 2u);
+  EXPECT_FALSE(AnyStagesOverlap(stats)) << stats.ToString();
 }
 
 // Adaptive skew-aware repartitioning composes with shared-fragment suite
