@@ -167,6 +167,9 @@ inline void AppendJobStatsJson(const std::string& bench,
         .Int("rpc_retries", static_cast<long long>(s.rpc_retries))
         .Int("heartbeat_timeouts",
              static_cast<long long>(s.heartbeat_timeouts))
+        .Int("rpc_request_bytes", s.rpc_request_bytes)
+        .Int("rpc_response_bytes", s.rpc_response_bytes)
+        .Int("segment_bytes", s.segment_bytes)
         .Append();
   }
 }

@@ -54,7 +54,10 @@ std::string JobStats::ToString() const {
        << " quarantined=" << s.quarantined_rows << " workers=" << s.workers
        << " worker_restarts=" << s.worker_restarts
        << " rpc_retries=" << s.rpc_retries
-       << " heartbeat_timeouts=" << s.heartbeat_timeouts;
+       << " heartbeat_timeouts=" << s.heartbeat_timeouts
+       << " rpc_request_bytes=" << s.rpc_request_bytes
+       << " rpc_response_bytes=" << s.rpc_response_bytes
+       << " segment_bytes=" << s.segment_bytes;
     os << "\n";
   }
   return os.str();

@@ -15,9 +15,11 @@
 //    on the cluster's thread pool;
 //  - the worker-gang backend (driver.h, ProcessOptions::workers > 0) ships
 //    them to forked worker processes over hash-checked RPC, and is only a
-//    transport: heartbeats, deadlines, re-dispatch, respawn. Without process
-//    support (TSan) or without a single spawned worker, the stage uses the
-//    in-process backend.
+//    transport: heartbeats, deadlines, re-dispatch, respawn. Its reducers
+//    read their buckets from a shared-memory segment the pipeline writes
+//    (segment.h), not through the socket. Without process support (TSan),
+//    without a segment, or without a single spawned worker, the stage uses
+//    the in-process backend.
 // The pipeline owns the rest, identically for both backends: morsel planning
 // and map routing (a map task routes row references, never rows); poison-row
 // quarantine (FaultToleranceOptions::quarantine_inputs) into
@@ -82,7 +84,8 @@ struct StageStats {
   size_t quarantined_rows = 0;  // diverted to <stage>.quarantine
   int partitions = 0;
   // Actual elapsed on this host, from stage start to the published output,
-  // including freeing the shuffle buckets after the last reduce attempt.
+  // including freeing the shuffle buckets after the last reduce attempt and,
+  // in process mode, reaping the worker gang.
   double wall_seconds = 0;
   // When the stage's run began and ended, in seconds since its job's stages
   // began to run (zero outside a job and for recovered stages). Stages of one
@@ -135,6 +138,13 @@ struct StageStats {
   int worker_restarts = 0;
   int rpc_retries = 0;
   int heartbeat_timeouts = 0;
+  // Worker-gang transport volume (zero in thread mode): payload bytes the
+  // driver sent to and received from its workers over the socketpairs, and
+  // the bytes of shuffle buckets it wrote into the stage's segment, which the
+  // workers read in place (segment.h).
+  size_t rpc_request_bytes = 0;
+  size_t rpc_response_bytes = 0;
+  size_t segment_bytes = 0;
   // True for stages not executed because their output was restored from a
   // CheckpointStore (row/time stats then reflect the checkpoint, not a run).
   bool recovered_from_checkpoint = false;

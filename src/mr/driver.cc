@@ -55,14 +55,36 @@ Clock::duration DurationOf(double seconds) {
       std::chrono::duration<double>(seconds));
 }
 
-/// What a reader thread hands the transport loop: a response frame from its
-/// worker, or the news that the worker's connection is gone.
+/// What a reader thread hands the transport loop: a response from its worker,
+/// already decoded, or the news that the worker's connection is gone.
 struct Event {
   enum class Kind : uint8_t { kResponse, kDead };
   Kind kind = Kind::kDead;
   int slot = -1;
-  rpc::Frame frame;
+  rpc::MsgType type = rpc::MsgType::kHeartbeat;
+  bool ids_ok = false;  // the payload starts with [task_id, dispatch]
+  uint32_t task_id = 0;
+  uint32_t dispatch = 0;
+  bool decoded = false;         // the whole payload decoded
+  wire::MapResponse map;        // type == kMapResponse
+  wire::ReduceResponse reduce;  // type == kReduceResponse
 };
+
+/// Decode a worker's response frame on its slot's reader thread, so the
+/// transport loop, which every worker waits on, never decodes rows.
+Event DecodeResponse(int slot, const rpc::Frame& frame) {
+  Event e;
+  e.kind = Event::Kind::kResponse;
+  e.slot = slot;
+  e.type = frame.type;
+  e.ids_ok = wire::PeekIds(frame.payload, &e.task_id, &e.dispatch);
+  if (frame.type == rpc::MsgType::kMapResponse) {
+    e.decoded = wire::DecodeMapResponse(frame.payload, &e.map).ok();
+  } else if (frame.type == rpc::MsgType::kReduceResponse) {
+    e.decoded = wire::DecodeReduceResponse(frame.payload, &e.reduce).ok();
+  }
+  return e;
+}
 
 struct WorkerSlot {
   pid_t pid = -1;
@@ -87,13 +109,13 @@ struct Shipment {
 };
 
 /// The transport loop is single-threaded on the caller: only reader threads
-/// run concurrently, and they touch nothing but the event queue and their
-/// slot's heartbeat stamp.
+/// run concurrently, and they touch nothing but the event queue, their slot's
+/// heartbeat stamp and the response byte count.
 class WorkerBackend final : public TaskBackend {
  public:
-  WorkerBackend(const StageInputs& in, const ProcessOptions& opts,
-                StageStats* stats)
-      : in_(in), opts_(opts), stats_(stats) {}
+  WorkerBackend(const StageInputs& in, const ShuffleSegment& segment,
+                const ProcessOptions& opts, StageStats* stats)
+      : in_(in), segment_(segment), opts_(opts), stats_(stats) {}
   ~WorkerBackend() override { ShutdownAll(); }
 
   int SpawnGang(int n);
@@ -112,7 +134,12 @@ class WorkerBackend final : public TaskBackend {
   bool Spawn(int slot);
   bool TryRespawn();
   void OnWorkerLost(int slot);
-  void ShutdownWorker(int slot, bool clean);
+  /// Make a worker exit and wake its reader: the shutdown frame (when
+  /// `clean`), shutdown(fd), SIGKILL.
+  void SignalWorker(int slot, bool clean);
+  /// Join a signalled worker's reader, close its fd and reap the process.
+  void ReapWorker(int slot);
+  /// Signal every worker, then reap them all: their exits overlap.
   void ShutdownAll();
   int AliveCount() const;
   int FindIdleWorker() const;
@@ -122,15 +149,16 @@ class WorkerBackend final : public TaskBackend {
   void Enqueue(Shipment s);
   void Requeue(int id);
   bool Dispatch(int id, int worker, Clock::time_point now);
-  /// Decode a response into the shipment's result; false = garbage, or a
+  /// Take a decoded response as the shipment's result; false = garbage, or a
   /// map result that fails CheckMapResult.
-  bool Complete(int id, std::string_view payload);
+  bool Complete(int id, Event* e);
   void RunInProcess(int id);
   /// One round of the loop: dispatch, sleep until an event or `deadline`,
   /// handle events, sweep heartbeat and RPC deadlines.
   void Pump(Clock::time_point deadline);
 
   const StageInputs& in_;
+  const ShuffleSegment& segment_;
   const ProcessOptions& opts_;
   StageStats* stats_;
 
@@ -155,6 +183,7 @@ class WorkerBackend final : public TaskBackend {
   std::mutex ev_mu_;
   std::condition_variable ev_cv_;
   std::deque<Event> events_;
+  std::atomic<uint64_t> response_bytes_{0};  // payload bytes readers received
 };
 
 // ------------------------------------------------------- gang management --
@@ -178,6 +207,7 @@ bool WorkerBackend::Spawn(int slot) {
     WorkerEnv env;
     env.worker_index = slot;
     env.inputs = &in_;
+    env.segment_fd = segment_.fd();
     env.chaos = opts_.chaos;
     env.heartbeat_interval_seconds = opts_.heartbeat_interval_seconds;
     WorkerMain(sv[1], env);  // [[noreturn]]
@@ -203,18 +233,23 @@ bool WorkerBackend::Spawn(int slot) {
     for (;;) {
       rpc::Frame frame;
       if (!rpc::RecvFrame(fd, &frame).ok()) {
+        Event dead;  // Kind::kDead
+        dead.slot = slot;
         std::lock_guard<std::mutex> lock(ev_mu_);
-        events_.push_back(Event{Event::Kind::kDead, slot, {}});
+        events_.push_back(std::move(dead));
         ev_cv_.notify_all();
         return;
       }
       w->last_beat_ns.store(NowNs(), std::memory_order_relaxed);
+      response_bytes_.fetch_add(frame.payload.size(),
+                                std::memory_order_relaxed);
       if (frame.type == rpc::MsgType::kHeartbeat ||
           frame.type == rpc::MsgType::kHello) {
         continue;
       }
+      Event e = DecodeResponse(slot, frame);
       std::lock_guard<std::mutex> lock(ev_mu_);
-      events_.push_back(Event{Event::Kind::kResponse, slot, std::move(frame)});
+      events_.push_back(std::move(e));
       ev_cv_.notify_all();
     }
   });
@@ -237,7 +272,8 @@ bool WorkerBackend::TryRespawn() {
   if (restarts_used_ >= opts_.max_worker_restarts) return false;
   for (size_t i = 0; i < workers_.size(); ++i) {
     if (workers_[i]->alive) continue;
-    ShutdownWorker(static_cast<int>(i), /*clean=*/false);  // reap old corpse
+    SignalWorker(static_cast<int>(i), /*clean=*/false);  // reap old corpse
+    ReapWorker(static_cast<int>(i));
     if (!Spawn(static_cast<int>(i))) return false;
     ++restarts_used_;
     stats_->worker_restarts++;
@@ -259,7 +295,7 @@ void WorkerBackend::OnWorkerLost(int slot) {
   TryRespawn();
 }
 
-void WorkerBackend::ShutdownWorker(int slot, bool clean) {
+void WorkerBackend::SignalWorker(int slot, bool clean) {
   WorkerSlot& w = *workers_[static_cast<size_t>(slot)];
   if (w.pid < 0) return;
   if (clean && w.fd >= 0) {
@@ -269,6 +305,11 @@ void WorkerBackend::ShutdownWorker(int slot, bool clean) {
   // SIGKILL unconditionally: a clean worker already _exit(0)ed on the
   // shutdown frame or the closed socket; a hung one (chaos) never will.
   ::kill(w.pid, SIGKILL);
+}
+
+void WorkerBackend::ReapWorker(int slot) {
+  WorkerSlot& w = *workers_[static_cast<size_t>(slot)];
+  if (w.pid < 0) return;
   if (w.reader.joinable()) w.reader.join();
   if (w.fd >= 0) ::close(w.fd);
   w.fd = -1;
@@ -281,8 +322,12 @@ void WorkerBackend::ShutdownWorker(int slot, bool clean) {
 
 void WorkerBackend::ShutdownAll() {
   for (size_t i = 0; i < workers_.size(); ++i) {
-    ShutdownWorker(static_cast<int>(i), /*clean=*/true);
+    SignalWorker(static_cast<int>(i), /*clean=*/true);
   }
+  for (size_t i = 0; i < workers_.size(); ++i) {
+    ReapWorker(static_cast<int>(i));
+  }
+  stats_->rpc_response_bytes += response_bytes_.load(std::memory_order_relaxed);
 }
 
 int WorkerBackend::AliveCount() const {
@@ -351,13 +396,15 @@ bool WorkerBackend::Dispatch(int id, int worker, Clock::time_point now) {
     req.sort_output = ctx.sort_output;
     req.fault_kind = ctx.fault.kind;
     req.straggler_seconds = ctx.fault.straggler_seconds;
-    wire::EncodeReduceRequest(req, *ctx.input_schemas, *ctx.buckets, &payload);
+    req.inputs = *ctx.slices;
+    wire::EncodeReduceRequest(req, &payload);
   }
   sent.push_back(id);
   WorkerSlot& w = *workers_[static_cast<size_t>(worker)];
   const rpc::MsgType type =
       s.map ? rpc::MsgType::kMapRequest : rpc::MsgType::kReduceRequest;
   if (!rpc::SendFrame(w.fd, type, payload).ok()) return false;
+  stats_->rpc_request_bytes += payload.size();
   w.inflight = id;
   s.st = Shipment::St::kInflight;
   s.worker = worker;
@@ -365,22 +412,21 @@ bool WorkerBackend::Dispatch(int id, int worker, Clock::time_point now) {
   return true;
 }
 
-bool WorkerBackend::Complete(int id, std::string_view payload) {
+bool WorkerBackend::Complete(int id, Event* e) {
+  if (!e->decoded) return false;
   Shipment& s = ships_[id];
   if (s.map) {
-    wire::MapResponse resp;
-    if (!wire::DecodeMapResponse(payload, &resp).ok()) return false;
+    wire::MapResponse& resp = e->map;
     // Refs index into the driver's own datasets: one that strays outside its
     // task's rows is treated like a malformed frame, never dereferenced.
     if (resp.status.ok() &&
         !CheckMapResult((*map_specs_)[s.task], resp.result).ok()) {
       return false;
     }
-    (*map_statuses_)[s.task] = resp.status;
+    (*map_statuses_)[s.task] = std::move(resp.status);
     (*map_results_)[s.task] = std::move(resp.result);
   } else {
-    wire::ReduceResponse resp;
-    if (!wire::DecodeReduceResponse(payload, &resp).ok()) return false;
+    wire::ReduceResponse& resp = e->reduce;
     AttemptReport report;
     report.task = s.task;
     report.attempt = s.reduce.attempt;
@@ -401,7 +447,7 @@ void WorkerBackend::RunInProcess(int id) {
     (*map_statuses_)[s.task] =
         RunMapTask(in_, (*map_specs_)[s.task], &(*map_results_)[s.task]);
   } else {
-    reports_.push_back(RunReduceAttempt(s.reduce));
+    reports_.push_back(RunReduceAttemptOnSegment(segment_.bytes(), s.reduce));
   }
   s.st = Shipment::St::kDone;
   --outstanding_;
@@ -480,17 +526,17 @@ void WorkerBackend::Pump(Clock::time_point deadline) {
       continue;
     }
     WorkerSlot& w = *workers_[static_cast<size_t>(e.slot)];
-    if (e.frame.type != resp_type_) {
+    if (e.type != resp_type_) {
       // A late answer from a finished phase: the worker is idle again.
       if (w.inflight >= 0 && ships_[w.inflight].st == Shipment::St::kDone) {
         w.inflight = -1;
       }
       continue;
     }
-    uint32_t tid = 0;
-    uint32_t disp = 0;
-    if (!wire::PeekIds(e.frame.payload, &tid, &disp) ||
-        tid >= dispatches_.size() || disp >= dispatches_[tid].size()) {
+    const uint32_t tid = e.task_id;
+    const uint32_t disp = e.dispatch;
+    if (!e.ids_ok || tid >= dispatches_.size() ||
+        disp >= dispatches_[tid].size()) {
       // Garbage from this worker: treat the process as compromised.
       if (w.alive) {
         ::kill(w.pid, SIGKILL);
@@ -513,8 +559,7 @@ void WorkerBackend::Pump(Clock::time_point deadline) {
     // The first response for a shipment is its result; a later one (the
     // same attempt, re-dispatched by the transport) is dropped.
     const int id = dispatches_[tid][disp];
-    if (ships_[id].st != Shipment::St::kDone &&
-        !Complete(id, e.frame.payload)) {
+    if (ships_[id].st != Shipment::St::kDone && !Complete(id, &e)) {
       // Undecodable payload: kill the worker; its loss requeues the task.
       if (w.alive) {
         ::kill(w.pid, SIGKILL);
@@ -579,10 +624,11 @@ void WorkerBackend::Wait(Clock::time_point deadline,
 }  // namespace
 
 std::unique_ptr<TaskBackend> SpawnWorkerBackend(const StageInputs& in,
+                                                const ShuffleSegment& segment,
                                                 const ProcessOptions& options,
                                                 StageStats* stats) {
   if (!ProcessModeSupported()) return nullptr;
-  auto backend = std::make_unique<WorkerBackend>(in, options, stats);
+  auto backend = std::make_unique<WorkerBackend>(in, segment, options, stats);
   stats->workers = backend->SpawnGang(options.workers);
   if (stats->workers == 0) return nullptr;
   return backend;

@@ -3,7 +3,10 @@
 //
 // It executes a stage's map tasks and reduce attempts on a gang of fork()ed
 // worker processes (worker.h) speaking the length-prefixed RPC of rpc.h over
-// socketpairs. The stage pipeline owns everything else — morsels, skew
+// socketpairs. Reduce requests name their input buckets by slice of the
+// stage's shuffle segment (segment.h), which every worker inherits; map
+// responses and reduce outputs come back over the socket and are decoded on
+// each worker's reader thread. The stage pipeline owns everything else — morsels, skew
 // splits, the canonical shuffle sort, the attempt scheduler with its retries,
 // speculation, and duplicate-output check — so this backend is only the
 // transport:
@@ -28,6 +31,7 @@
 #include <memory>
 
 #include "mr/pipeline.h"
+#include "mr/segment.h"
 
 namespace timr::mr {
 
@@ -36,11 +40,16 @@ namespace timr::mr {
 /// use the in-process backend.
 bool ProcessModeSupported();
 
-/// Fork a gang of options.workers workers for one stage. Returns nullptr —
-/// the caller then uses the in-process backend — when process mode is
-/// unsupported or no worker could be spawned. Records the gang size and the
-/// transport counters (restarts, RPC retries, heartbeat timeouts) in *stats.
+/// Fork a gang of options.workers workers for one stage; each inherits
+/// `segment`, which the pipeline fills before the first reduce attempt and
+/// keeps alive past the backend. Returns nullptr — the caller then uses the
+/// in-process backend — when process mode is unsupported or no worker could
+/// be spawned. Records the gang size and the transport counters (restarts,
+/// RPC retries, heartbeat timeouts, request and response bytes) in *stats;
+/// the response bytes once the backend is destroyed, which reaps every
+/// worker.
 std::unique_ptr<TaskBackend> SpawnWorkerBackend(const StageInputs& in,
+                                                const ShuffleSegment& segment,
                                                 const ProcessOptions& options,
                                                 StageStats* stats);
 

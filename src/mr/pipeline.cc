@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstring>
 #include <deque>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <mutex>
+#include <numeric>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -14,6 +17,7 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "mr/driver.h"
+#include "mr/rpc.h"
 #include "mr/runtime_util.h"
 #include "mr/skew.h"
 
@@ -21,6 +25,12 @@ namespace timr::mr {
 namespace {
 
 using Clock = TaskBackend::Clock;
+
+/// A routed row in its bucket: its time, and the source row it refers to.
+struct Keyed {
+  int64_t time;
+  const Row* row;
+};
 
 /// Runs task bodies on the cluster's ThreadPool. Reduce reports flow back
 /// through a completion queue that Wait drains on the scheduler's thread.
@@ -97,8 +107,12 @@ class StagePipeline {
   Status Map(TaskBackend* backend);
   void SplitHotKeys();
   Status Shuffle();
+  std::vector<Keyed> OrderBucket(size_t p, size_t i,
+                                 const std::vector<size_t>& morsels,
+                                 size_t* first_src) const;
   void BuildBucket(size_t p, size_t i, const std::vector<size_t>& morsels,
                    const std::vector<size_t>& refs_into);
+  Status WriteSegment(const std::vector<std::vector<size_t>>& morsels_of);
   Status Reduce(TaskBackend* backend);
   void Publish(std::map<std::string, Dataset>* store);
 
@@ -121,7 +135,11 @@ class StagePipeline {
   std::vector<int> vbase_;        // first virtual partition of decisions_[d]
   std::vector<int> base_of_;      // physical -> base partition
   std::vector<char> sort_output_;
-  std::vector<std::vector<std::vector<Row>>> buckets_;  // [phys][input]
+  // The shuffle buckets, [phys][input]: rows in thread mode; in process mode
+  // slices of the stage's segment, which the worker gang inherits.
+  std::vector<std::vector<std::vector<Row>>> buckets_;
+  std::unique_ptr<ShuffleSegment> segment_;
+  std::vector<std::vector<SegmentSlice>> slices_;
 
   std::vector<std::vector<Row>> out_rows_;  // accepted output per phys task
   std::vector<double> task_seconds_;        // reducer CPU per phys task
@@ -147,13 +165,18 @@ Status StagePipeline::Run(std::map<std::string, Dataset>* store) {
   }
   consumable_ = ConsumableInputFlags(stage_);
 
-  // Worker processes when asked for and available; otherwise — including
-  // when not a single worker could be spawned — the in-process backend.
+  // Worker processes, which inherit the stage's segment, when asked for and
+  // available; otherwise — including when the segment cannot be made or not
+  // a single worker could be spawned — the in-process backend.
   std::unique_ptr<TaskBackend> backend;
-  if (env_.process->workers > 0) {
-    backend = SpawnWorkerBackend(in_, *env_.process, stats_);
+  if (env_.process->workers > 0 && ProcessModeSupported()) {
+    segment_ = ShuffleSegment::Create();
+    if (segment_ != nullptr) {
+      backend = SpawnWorkerBackend(in_, *segment_, *env_.process, stats_);
+    }
   }
   if (backend == nullptr) {
+    segment_.reset();
     backend = std::make_unique<ThreadBackend>(env_.pool, in_);
   }
 
@@ -161,8 +184,17 @@ Status StagePipeline::Run(std::map<std::string, Dataset>* store) {
   TIMR_RETURN_NOT_OK(Map(backend.get()));
   SplitHotKeys();
   stats_->map_shuffle_seconds = wall_.ElapsedSeconds();
+  const bool gang = segment_ != nullptr;
   TIMR_RETURN_NOT_OK(Shuffle());
+  if (gang && segment_ == nullptr) {
+    // The segment could not be sized, so the buckets are rows, which only the
+    // in-process backend reads.
+    backend = std::make_unique<ThreadBackend>(env_.pool, in_);
+  }
   TIMR_RETURN_NOT_OK(Reduce(backend.get()));
+  // Reap the gang, then drop the segment, inside the stage's wall time.
+  backend.reset();
+  segment_.reset();
   Publish(store);
   return Status::OK();
 }
@@ -336,34 +368,24 @@ void StagePipeline::SplitHotKeys() {
   }
 }
 
-// Gather bucket (p, i)'s refs in morsel order, order them canonically — by
-// time, then RowTimeLess on the referenced rows to break a time tie — and
-// copy the referenced rows into the bucket in that order. The order is a
-// total order on rows (equal rows are interchangeable), so reducer input is
-// byte-identical for any thread count, morsel layout, and backend; and the
-// bucket's rows are allocated contiguously, in the order the reducer reads
-// them and the reduce phase frees them. A bucket that is exactly one whole
-// partition of a consumable input, already in canonical order, and that no
-// other bucket references (`refs_into` counts the refs into each source
-// partition of input i), takes that partition's rows over instead.
-void StagePipeline::BuildBucket(size_t p, size_t i,
-                                const std::vector<size_t>& morsels,
-                                const std::vector<size_t>& refs_into) {
-  struct Keyed {
-    int64_t time;
-    const Row* row;
-  };
+// Gather bucket (p, i)'s refs in morsel order and order them canonically: by
+// time, then RowTimeLess on the referenced rows to break a time tie. The
+// order is a total order on rows (equal rows are interchangeable), so reducer
+// input is byte-identical for any thread count, morsel layout, and backend.
+// `first_src` is the source partition of the first ref.
+std::vector<Keyed> StagePipeline::OrderBucket(
+    size_t p, size_t i, const std::vector<size_t>& morsels,
+    size_t* first_src) const {
   const auto less = [](const Keyed& a, const Keyed& b) {
     return a.time != b.time ? a.time < b.time : RowTimeLess(*a.row, *b.row);
   };
-  Dataset& input = *in_.datasets[i];
+  const Dataset& input = *in_.datasets[i];
   size_t total = 0;
   for (size_t m : morsels) total += mouts_[m].refs[p].size();
   std::vector<Keyed> keyed;
   keyed.reserve(total);
-  size_t first_src = 0;  // source partition of the first ref
   for (size_t m : morsels) {
-    if (keyed.empty()) first_src = morsels_[m].src_partition;
+    if (keyed.empty()) *first_src = morsels_[m].src_partition;
     const std::vector<Row>& src = input.partition(morsels_[m].src_partition);
     for (const RowRef& ref : mouts_[m].refs[p]) {
       const Row& row = src[ref.row];
@@ -378,11 +400,25 @@ void StagePipeline::BuildBucket(size_t p, size_t i,
   if (!std::is_sorted(keyed.begin(), keyed.end(), less)) {
     std::sort(keyed.begin(), keyed.end(), less);
   }
+  return keyed;
+}
+
+// Thread mode: copy bucket (p, i)'s rows in canonical order (OrderBucket), so
+// the bucket's rows are allocated contiguously, in the order the reducer reads
+// them and the reduce phase frees them. A bucket that is exactly one whole
+// partition of a consumable input, already in canonical order, and that no
+// other bucket references (`refs_into` counts the refs into each source
+// partition of input i), takes that partition's rows over instead.
+void StagePipeline::BuildBucket(size_t p, size_t i,
+                                const std::vector<size_t>& morsels,
+                                const std::vector<size_t>& refs_into) {
+  size_t first_src = 0;
+  const std::vector<Keyed> keyed = OrderBucket(p, i, morsels, &first_src);
   std::vector<Row>& dst = buckets_[p][i];
   if (consumable_[i] && !keyed.empty()) {
     // The refs are the whole partition in order iff the k-th points at its
     // k-th row.
-    std::vector<Row>& src = input.partition(first_src);
+    std::vector<Row>& src = in_.datasets[i]->partition(first_src);
     bool whole =
         refs_into[first_src] == keyed.size() && src.size() == keyed.size();
     for (size_t k = 0; whole && k < keyed.size(); ++k) {
@@ -397,11 +433,51 @@ void StagePipeline::BuildBucket(size_t p, size_t i,
   for (const Keyed& k : keyed) dst.push_back(*k.row);
 }
 
-// Build every (partition, input) bucket as an independent pool task (see
-// BuildBucket), then release consumed inputs, one pool task per source
-// partition, each in its own row order: every bucket holds its own copy of
-// its rows or the whole partition itself, and the stage owns the only
-// remaining reference.
+// Process mode: write every (partition, input) bucket into its own slice of
+// the stage's segment, in canonical order (OrderBucket) and in
+// WireWriter::Rows' layout, encoded straight from the referenced source rows.
+// One pool task per bucket orders it and sizes its slice; once the segment is
+// sized, one pool task per bucket encodes it. Fails, writing nothing, when the
+// segment cannot be sized.
+Status StagePipeline::WriteSegment(
+    const std::vector<std::vector<size_t>>& morsels_of) {
+  const size_t ninputs = in_.datasets.size();
+  const size_t n = static_cast<size_t>(phys_parts_) * ninputs;
+  std::vector<std::vector<Keyed>> ordered(n);
+  std::vector<uint64_t> offsets(n + 1, 0);  // slice t is [offsets[t], [t+1])
+  env_.pool->ParallelFor(n, [&](size_t t) {
+    size_t first_src = 0;
+    ordered[t] = OrderBucket(t / ninputs, t % ninputs, morsels_of[t % ninputs],
+                             &first_src);
+    uint64_t bytes = sizeof(uint64_t);  // the row count
+    for (const Keyed& k : ordered[t]) bytes += rpc::WireRowBytes(*k.row);
+    offsets[t + 1] = bytes;
+  });
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  TIMR_RETURN_NOT_OK(segment_->Allocate(offsets[n]));
+  env_.pool->ParallelFor(n, [&](size_t t) {
+    char* out = segment_->data() + offsets[t];
+    const uint64_t rows = ordered[t].size();
+    std::memcpy(out, &rows, sizeof(rows));
+    out += sizeof(rows);
+    for (const Keyed& k : ordered[t]) out = rpc::PutWireRow(*k.row, out);
+    std::vector<Keyed>().swap(ordered[t]);
+  });
+  slices_.assign(static_cast<size_t>(phys_parts_),
+                 std::vector<SegmentSlice>(ninputs));
+  for (size_t t = 0; t < n; ++t) {
+    slices_[t / ninputs][t % ninputs] = {offsets[t],
+                                         offsets[t + 1] - offsets[t]};
+  }
+  stats_->segment_bytes = offsets[n];
+  return Status::OK();
+}
+
+// Build every (partition, input) bucket: as rows (BuildBucket, one pool task
+// per bucket) or, in process mode, into the stage's segment (WriteSegment).
+// Then release consumed inputs, one pool task per source partition, each in
+// its own row order: every bucket holds its own copy of its rows or the whole
+// partition itself, and the stage owns the only remaining reference.
 Status StagePipeline::Shuffle() {
   Stopwatch sort_watch;
   const size_t ninputs = in_.datasets.size();
@@ -417,15 +493,18 @@ Status StagePipeline::Shuffle() {
       refs_into[i][morsels_[m].src_partition] += refs.size();
     }
   }
-  buckets_.assign(static_cast<size_t>(phys_parts_),
-                  std::vector<std::vector<Row>>(ninputs));
   try {
-    env_.pool->ParallelFor(
-        static_cast<size_t>(phys_parts_) * ninputs, [&](size_t task) {
-          const size_t p = task / ninputs;
-          const size_t i = task % ninputs;
-          BuildBucket(p, i, morsels_of[i], refs_into[i]);
-        });
+    if (segment_ != nullptr && !WriteSegment(morsels_of).ok()) segment_.reset();
+    if (segment_ == nullptr) {
+      buckets_.assign(static_cast<size_t>(phys_parts_),
+                      std::vector<std::vector<Row>>(ninputs));
+      env_.pool->ParallelFor(
+          static_cast<size_t>(phys_parts_) * ninputs, [&](size_t task) {
+            const size_t p = task / ninputs;
+            const size_t i = task % ninputs;
+            BuildBucket(p, i, morsels_of[i], refs_into[i]);
+          });
+    }
   } catch (const std::exception& e) {
     // Reached e.g. when a row's Time cell is not int64 (std::bad_variant_access
     // from the Time read) and quarantine_inputs was off to catch it upstream.
@@ -522,7 +601,11 @@ Status StagePipeline::Reduce(TaskBackend* backend) {
       ctx.base_partition = base_of_[q.task];
       ctx.attempt = q.attempt;
       ctx.sort_output = sort_output_[q.task] != 0;
-      ctx.buckets = &buckets_[q.task];
+      if (segment_ != nullptr) {
+        ctx.slices = &slices_[q.task];
+      } else {
+        ctx.buckets = &buckets_[q.task];
+      }
       ctx.input_schemas = &in_.schemas;
       if (env_.injector != nullptr) {
         ctx.fault = env_.injector->OnReduceAttempt(stage_.name, q.task,

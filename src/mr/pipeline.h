@@ -12,11 +12,14 @@
 //  6. build every bucket once, on the cluster's thread pool: order its refs
 //     canonically (by time, RowTimeLess on the referenced rows for ties) and
 //     copy the referenced rows in that order, so a bucket's rows are
-//     allocated contiguously in reducer order; then release consumed inputs.
-//     Backends only ever see presorted reducer input;
+//     allocated contiguously in reducer order — or, for a worker gang, encode
+//     them in that order into the bucket's slice of the stage's shared
+//     segment (segment.h); then release consumed inputs. Backends only ever
+//     see presorted reducer input;
 //  7. run the reduce attempt scheduler: retries, speculative backups for
 //     stragglers, first finisher wins, duplicate outputs byte-compared;
-//  8. coalesce split partitions, finalize stats, publish.
+//  8. reap the worker gang and drop the segment, coalesce split partitions,
+//     finalize stats, publish.
 //
 // A TaskBackend only executes task bodies (worker.h). The in-process backend
 // runs them on the ThreadPool; the worker-gang backend (driver.h) ships them
@@ -57,7 +60,7 @@ class TaskBackend {
                        std::vector<Status>* statuses) = 0;
 
   /// Start one reduce attempt. Its report arrives, exactly once, from Wait.
-  /// ctx's buckets and schemas stay valid until then.
+  /// ctx's buckets (or slices) and schemas stay valid until then.
   virtual void StartReduce(const ReduceAttemptContext& ctx) = 0;
 
   /// Block until at least one report is ready or `deadline` passes, then

@@ -3,6 +3,7 @@
 #include <errno.h>
 #include <string.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -19,14 +20,6 @@ namespace {
 constexpr uint64_t kMaxCells = uint64_t{1} << 20;
 constexpr uint64_t kMaxFields = uint64_t{1} << 20;
 constexpr uint64_t kMaxRows = uint64_t{1} << 40;  // reserve() is clamped below
-
-void PutU32(std::string* out, uint32_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
 
 uint32_t GetU32(const char* p) {
   uint32_t v;
@@ -59,6 +52,19 @@ bool ReadExact(int fd, void* buf, size_t n, bool* got_any) {
   return true;
 }
 
+/// The frame header for `payload`: [magic u32 | type u8 | pad u8 | pad u16 |
+/// payload_len u64 | payload_hash u64].
+void PutHeader(MsgType type, std::string_view payload, char* out) {
+  const uint32_t magic = kFrameMagic;
+  const uint64_t len = payload.size();
+  const uint64_t hash = HashBytes(payload.data(), payload.size());
+  std::memcpy(out, &magic, sizeof(magic));
+  out[4] = static_cast<char>(type);
+  std::memset(out + 5, 0, 3);  // padding: one u8 + one u16, reserved
+  std::memcpy(out + 8, &len, sizeof(len));
+  std::memcpy(out + 16, &hash, sizeof(hash));
+}
+
 /// Stored-block frames live in files; RecvFrame rejects them.
 bool IsStoredBlockType(uint8_t t) {
   return t >= static_cast<uint8_t>(MsgType::kDatasetHeader) &&
@@ -73,13 +79,8 @@ bool IsKnownMsgType(uint8_t t) {
 }
 
 void EncodeFrame(MsgType type, std::string_view payload, std::string* out) {
-  out->clear();
-  out->reserve(kFrameHeaderBytes + payload.size());
-  PutU32(out, kFrameMagic);
-  out->push_back(static_cast<char>(type));
-  out->append(3, '\0');  // padding: one u8 + one u16, reserved
-  PutU64(out, payload.size());
-  PutU64(out, HashBytes(payload.data(), payload.size()));
+  out->resize(kFrameHeaderBytes);
+  PutHeader(type, payload, out->data());
   out->append(payload.data(), payload.size());
 }
 
@@ -128,18 +129,32 @@ DecodeResult DecodeFrame(std::string_view bytes) {
 }
 
 Status SendFrame(int fd, MsgType type, std::string_view payload) {
-  std::string wire;
-  EncodeFrame(type, payload, &wire);
-  size_t off = 0;
-  while (off < wire.size()) {
-    const ssize_t w =
-        ::send(fd, wire.data() + off, wire.size() - off, MSG_NOSIGNAL);
+  char header[kFrameHeaderBytes];
+  PutHeader(type, payload, header);
+  iovec iov[2] = {{header, sizeof(header)},
+                  {const_cast<char*>(payload.data()), payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
+    const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       return Status::RpcError(std::string("rpc send failed: ") +
                               ::strerror(errno));
     }
-    off += static_cast<size_t>(w);
+    // Continue a partial write: drop the iovecs sent in full, then advance
+    // into the first one sent in part.
+    auto sent = static_cast<size_t>(w);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
   }
   return Status::OK();
 }
@@ -183,26 +198,51 @@ Status RecvFrame(int fd, Frame* out) {
 
 // ------------------------------------------------------ payload encoding --
 
-void WireWriter::Cell(const Value& v) {
-  U8(static_cast<uint8_t>(v.type()));
-  switch (v.type()) {
-    case ValueType::kInt64: {
-      const int64_t x = v.AsInt64();
-      AppendRaw(&x, sizeof(x));
-      break;
-    }
-    case ValueType::kDouble:
-      F64(v.AsDouble());
-      break;
-    case ValueType::kString:
-      Str(v.AsString());
-      break;
+size_t WireRowBytes(const Row& row) {
+  size_t n = sizeof(uint64_t);
+  for (const Value& v : row) {
+    n += 1 + sizeof(uint64_t);
+    if (v.type() == ValueType::kString) n += v.AsString().size();
   }
+  return n;
+}
+
+char* PutWireRow(const Row& row, char* out) {
+  const auto put = [&out](const void* p, size_t n) {
+    std::memcpy(out, p, n);
+    out += n;
+  };
+  const uint64_t cells = row.size();
+  put(&cells, sizeof(cells));
+  for (const Value& v : row) {
+    *out++ = static_cast<char>(v.type());
+    switch (v.type()) {
+      case ValueType::kInt64: {
+        const int64_t x = v.AsInt64();
+        put(&x, sizeof(x));
+        break;
+      }
+      case ValueType::kDouble: {
+        const double x = v.AsDouble();
+        put(&x, sizeof(x));
+        break;
+      }
+      case ValueType::kString: {
+        const std::string& str = v.AsString();
+        const uint64_t len = str.size();
+        put(&len, sizeof(len));
+        put(str.data(), str.size());
+        break;
+      }
+    }
+  }
+  return out;
 }
 
 void WireWriter::AppendRow(const Row& row) {
-  U64(row.size());
-  for (const Value& v : row) Cell(v);
+  const size_t at = buf_.size();
+  buf_.resize(at + WireRowBytes(row));
+  PutWireRow(row, buf_.data() + at);
 }
 
 void WireWriter::Rows(const std::vector<Row>& rows) {

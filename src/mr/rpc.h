@@ -16,8 +16,9 @@
 //
 //  - Payload: WireWriter/WireReader append/parse scalars, strings, schemas,
 //    and rows. A cell is [type u8][int64 | double | len u64 + bytes]. The
-//    same frames and cells ship shuffle rows between processes and hold
-//    checkpointed datasets on disk (stored-block frame types below). All
+//    same cells lay out the shuffle buckets in a stage's shared segment
+//    (mr/segment.h) and the reduce outputs workers send back, and frames of
+//    them hold checkpointed datasets on disk (stored-block types below). All
 //    integers are host-endian: the driver and its forked workers are by
 //    construction the same architecture, and checkpoints are read back by
 //    the machine that wrote them.
@@ -82,9 +83,10 @@ struct DecodeResult {
 };
 DecodeResult DecodeFrame(std::string_view bytes);
 
-/// Write one frame to a blocking fd. Partial writes are continued; EPIPE /
-/// EBADF / any write error is a kRpcError (the caller treats the peer as
-/// lost).
+/// Write one frame to a blocking fd: the header and the payload go out in one
+/// sendmsg of two iovecs, never copied into one buffer, and partial writes
+/// are continued. EPIPE / EBADF / any write error is a kRpcError (the caller
+/// treats the peer as lost).
 Status SendFrame(int fd, MsgType type, std::string_view payload);
 
 /// Read exactly one frame from a blocking fd. EOF before a full header is
@@ -95,6 +97,13 @@ Status SendFrame(int fd, MsgType type, std::string_view payload);
 Status RecvFrame(int fd, Frame* out);
 
 // ------------------------------------------------------ payload encoding --
+
+/// The bytes WireWriter::AppendRow writes for `row`, and writing them at `out`
+/// (which must hold that many); returns the end of what was written. The
+/// shuffle encodes each bucket with these straight into its slice of a
+/// stage's shared segment (mr/segment.h).
+size_t WireRowBytes(const Row& row);
+char* PutWireRow(const Row& row, char* out);
 
 /// Append-only payload builder. All writers are infallible.
 class WireWriter {
@@ -107,7 +116,6 @@ class WireWriter {
     U64(s.size());
     buf_.append(s.data(), s.size());
   }
-  void Cell(const Value& v);
   void AppendRow(const Row& row);
   void Rows(const std::vector<Row>& rows);
   void WriteSchema(const Schema& schema);

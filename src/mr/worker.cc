@@ -186,6 +186,34 @@ AttemptReport RunReduceAttempt(const ReduceAttemptContext& ctx) {
   return report;
 }
 
+AttemptReport RunReduceAttemptOnSegment(std::string_view segment,
+                                        const ReduceAttemptContext& ctx) {
+  const std::vector<SegmentSlice>& slices = *ctx.slices;
+  std::vector<std::vector<Row>> buckets(slices.size());
+  Status st;
+  if (slices.size() != ctx.input_schemas->size()) {
+    st = Status::RpcError("reduce request names " +
+                          std::to_string(slices.size()) + " buckets for " +
+                          std::to_string(ctx.input_schemas->size()) +
+                          " inputs");
+  }
+  for (size_t i = 0; i < slices.size() && st.ok(); ++i) {
+    st = DecodeBucket(segment, slices[i], &buckets[i]);
+  }
+  if (!st.ok()) {
+    AttemptReport report;
+    report.task = ctx.physical_partition;
+    report.attempt = ctx.attempt;
+    report.status = Status::RpcError(TaskLabel(ctx.stage->name,
+                                               ctx.physical_partition) +
+                                     ": " + st.message());
+    return report;
+  }
+  ReduceAttemptContext on_rows = ctx;
+  on_rows.buckets = &buckets;
+  return RunReduceAttempt(on_rows);
+}
+
 // ------------------------------------------------- request/response wire --
 
 namespace wire {
@@ -338,10 +366,7 @@ Status DecodeMapResponse(std::string_view payload, MapResponse* resp) {
   return r.Finish("map response");
 }
 
-void EncodeReduceRequest(const ReduceRequest& req,
-                         const std::vector<Schema>& input_schemas,
-                         const std::vector<std::vector<Row>>& buckets,
-                         std::string* payload) {
+void EncodeReduceRequest(const ReduceRequest& req, std::string* payload) {
   rpc::WireWriter w;
   w.U32(req.task_id);
   w.U32(req.dispatch);
@@ -350,16 +375,12 @@ void EncodeReduceRequest(const ReduceRequest& req,
   w.U8(req.sort_output ? 1 : 0);
   w.U8(static_cast<uint8_t>(req.fault_kind));
   w.F64(req.straggler_seconds);
-  w.U32(static_cast<uint32_t>(buckets.size()));
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    w.WriteSchema(input_schemas[i]);
-    w.Rows(buckets[i]);
+  w.U32(static_cast<uint32_t>(req.inputs.size()));
+  for (const SegmentSlice& slice : req.inputs) {
+    w.U64(slice.offset);
+    w.U64(slice.length);
   }
   *payload = w.Take();
-}
-
-void EncodeReduceRequest(const ReduceRequest& req, std::string* payload) {
-  EncodeReduceRequest(req, req.input_schemas, req.buckets, payload);
 }
 
 Status DecodeReduceRequest(std::string_view payload, ReduceRequest* req) {
@@ -367,22 +388,21 @@ Status DecodeReduceRequest(std::string_view payload, ReduceRequest* req) {
   uint8_t sort_output = 0;
   uint8_t fault_kind = 0;
   uint32_t ninputs = 0;
+  // A slice is 16 bytes: a count beyond what is left cannot be genuine.
   if (!r.U32(&req->task_id) || !r.U32(&req->dispatch) ||
       !r.U32(&req->attempt) || !r.U32(&req->base_partition) ||
       !r.U8(&sort_output) || !r.U8(&fault_kind) ||
-      !r.F64(&req->straggler_seconds) ||
-      !r.U32(&ninputs) || ninputs > (1u << 16) ||
+      !r.F64(&req->straggler_seconds) || !r.U32(&ninputs) ||
+      ninputs > r.remaining() / 16 ||
       fault_kind > static_cast<uint8_t>(FaultKind::kCorruptInput)) {
     return Status::RpcError("malformed reduce request payload");
   }
   req->sort_output = sort_output != 0;
   req->fault_kind = static_cast<FaultKind>(fault_kind);
-  req->input_schemas.resize(ninputs);
-  req->buckets.resize(ninputs);
-  for (uint32_t i = 0; i < ninputs; ++i) {
-    if (!r.ReadSchema(&req->input_schemas[i]) || !r.Rows(&req->buckets[i])) {
-      return Status::RpcError("malformed reduce request payload");
-    }
+  req->inputs.resize(ninputs);
+  for (SegmentSlice& slice : req->inputs) {
+    r.U64(&slice.offset);
+    r.U64(&slice.length);
   }
   return r.Finish("reduce request");
 }
@@ -494,6 +514,10 @@ class ScriptedKillState {
 
 void WorkerMain(int fd, const WorkerEnv& env) {
   const MRStage& stage = *env.inputs->stage;
+  // Mapped at the first reduce request: the driver sizes the segment after
+  // the map phase, and never again.
+  std::string_view segment;
+  bool segment_mapped = false;
   std::mutex send_mu;
   std::atomic<bool> hb_stop{false};
   // Heartbeats flow from a dedicated thread so a long-running task does not
@@ -579,10 +603,20 @@ void WorkerMain(int fd, const WorkerEnv& env) {
         ctx.base_partition = static_cast<int>(req.base_partition);
         ctx.attempt = static_cast<int>(req.attempt);
         ctx.sort_output = req.sort_output;
-        ctx.buckets = &req.buckets;
-        ctx.input_schemas = &req.input_schemas;
+        ctx.slices = &req.inputs;
+        ctx.input_schemas = &env.inputs->schemas;
         ctx.fault = Fault{req.fault_kind, req.straggler_seconds};
-        AttemptReport report = RunReduceAttempt(ctx);
+        Status st;
+        if (!segment_mapped) {
+          st = MapSegmentReadOnly(env.segment_fd, &segment);
+          segment_mapped = st.ok();
+        }
+        AttemptReport report;
+        if (st.ok()) {
+          report = RunReduceAttemptOnSegment(segment, ctx);
+        } else {
+          report.status = std::move(st);
+        }
         wire::ReduceResponse resp;
         resp.task_id = req.task_id;
         resp.dispatch = req.dispatch;

@@ -9,14 +9,18 @@
 //
 // The worker is a process fork()ed by the driver at stage start: it inherits
 // the stage (closures and all — PartitionFn/ReducerFn cannot cross a process
-// boundary by serialization) and a copy-on-write snapshot of the stage's
-// input datasets, then serves task RPCs over its socketpair until told to
-// shut down. Map tasks read the inherited inputs by (partition, row range)
-// and ship back row references — (Time, source row index) per destination
-// partition — never rows: the driver holds the same input rows and builds
-// every shuffle bucket itself. Reduce tasks receive canonically presorted
-// shuffle partitions, run the reducer, and ship the output rows back. A
-// heartbeat thread keeps liveness flowing while a long task runs.
+// boundary by serialization), a copy-on-write snapshot of the stage's input
+// datasets, and the fd of the stage's shuffle segment (segment.h), then
+// serves task RPCs over its socketpair until told to shut down. Map tasks
+// read the inherited inputs by (partition, row range) and ship back row
+// references — (Time, source row index) per destination partition — never
+// rows: the driver holds the same input rows and writes every shuffle bucket
+// into the segment itself, canonically presorted. A reduce request names its
+// buckets by slice of the segment; the worker maps the segment read-only,
+// decodes the slices after checking them against its size, runs the reducer,
+// and ships the output rows back over the socket, where the frame hash
+// catches a worker killed mid-write. A heartbeat thread keeps liveness
+// flowing while a long task runs.
 
 #pragma once
 
@@ -29,6 +33,7 @@
 
 #include "mr/dataset.h"
 #include "mr/fault.h"
+#include "mr/segment.h"
 #include "mr/stage.h"
 
 namespace timr::mr {
@@ -100,7 +105,10 @@ struct ReduceAttemptContext {
   int base_partition = 0;      // partition index the reducer sees
   int attempt = 0;
   bool sort_output = false;  // split partitions: canonical-sort before accept
-  const std::vector<std::vector<Row>>* buckets = nullptr;  // per input, sorted
+  // Per input, canonically sorted: the rows (thread mode), or their slices of
+  // the stage's shuffle segment (process mode).
+  const std::vector<std::vector<Row>>* buckets = nullptr;
+  const std::vector<SegmentSlice>* slices = nullptr;
   const std::vector<Schema>* input_schemas = nullptr;  // kCorruptInput check
   Fault fault;  // injected fault to apply (probed by the caller)
 };
@@ -118,6 +126,13 @@ struct AttemptReport {
 /// task boundary (nothing escapes as anything but a Status), canonically sort
 /// the output when ctx.sort_output, and measure the attempt's thread CPU.
 AttemptReport RunReduceAttempt(const ReduceAttemptContext& ctx);
+
+/// RunReduceAttempt on the buckets that ctx.slices name in `segment`: the
+/// reduce body of a worker and of the worker-gang backend's in-process
+/// fallback. A slice count other than the stage's input count, or a slice
+/// DecodeBucket rejects, fails the attempt with a kRpcError.
+AttemptReport RunReduceAttemptOnSegment(std::string_view segment,
+                                        const ReduceAttemptContext& ctx);
 
 // ------------------------------------------------- request/response wire --
 
@@ -146,17 +161,11 @@ struct ReduceRequest {
   bool sort_output = false;
   FaultKind fault_kind = FaultKind::kNone;  // injected fault for this attempt
   double straggler_seconds = 0;
-  std::vector<Schema> input_schemas;
-  std::vector<std::vector<Row>> buckets;  // per input, canonically sorted
+  // Per input, its bucket's slice of the stage's shuffle segment. The worker
+  // inherited the input schemas at fork.
+  std::vector<SegmentSlice> inputs;
 };
 void EncodeReduceRequest(const ReduceRequest& req, std::string* payload);
-/// Same wire layout, but schemas/buckets come from the caller's storage —
-/// the driver re-dispatches tasks without copying the shuffle data into a
-/// request struct first (req.input_schemas / req.buckets are ignored).
-void EncodeReduceRequest(const ReduceRequest& req,
-                         const std::vector<Schema>& input_schemas,
-                         const std::vector<std::vector<Row>>& buckets,
-                         std::string* payload);
 Status DecodeReduceRequest(std::string_view payload, ReduceRequest* req);
 
 struct ReduceResponse {
@@ -181,6 +190,7 @@ bool PeekIds(std::string_view payload, uint32_t* task_id, uint32_t* dispatch);
 struct WorkerEnv {
   int worker_index = 0;
   const StageInputs* inputs = nullptr;  // COW snapshot; map tasks read these
+  int segment_fd = -1;  // the stage's shuffle segment; reduce tasks read it
   ProcessFaultPlan chaos;
   double heartbeat_interval_seconds = 0.05;
 };

@@ -12,11 +12,13 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/hash.h"
 #include "mr/rpc.h"
+#include "mr/segment.h"
 #include "mr/worker.h"
 
 namespace timr::mr {
@@ -421,6 +423,18 @@ TEST(RpcMessages, MapResponseCarriesErrorStatus) {
 }
 
 TEST(RpcMessages, ReduceRequestRoundTripAndZeroCopyOverloadAgree) {
+  // A reduce request names each input bucket by its slice of the stage's
+  // shuffle segment instead of carrying rows. The request round-trips, and
+  // each bucket read in place through its slice equals the rows written.
+  auto segment = ShuffleSegment::Create();
+  ASSERT_NE(segment, nullptr);
+  rpc::WireWriter w;
+  w.Rows({});  // input 0: an empty bucket
+  const uint64_t first = w.buf().size();
+  w.Rows(TestRows());  // input 1
+  ASSERT_TRUE(segment->Allocate(w.buf().size()).ok());
+  std::memcpy(segment->data(), w.buf().data(), w.buf().size());
+
   wire::ReduceRequest req;
   req.task_id = 4;
   req.dispatch = 2;
@@ -429,27 +443,99 @@ TEST(RpcMessages, ReduceRequestRoundTripAndZeroCopyOverloadAgree) {
   req.sort_output = true;
   req.fault_kind = FaultKind::kStraggler;
   req.straggler_seconds = 0.125;
-  req.input_schemas = {TestSchema()};
-  req.buckets = {TestRows()};
-  std::string a, b;
-  wire::EncodeReduceRequest(req, &a);
-  // The driver-side overload reads schemas/buckets from external storage; it
-  // must produce identical bytes.
-  wire::ReduceRequest bare = req;
-  bare.input_schemas.clear();
-  bare.buckets.clear();
-  wire::EncodeReduceRequest(bare, req.input_schemas, req.buckets, &b);
-  EXPECT_EQ(a, b);
+  req.inputs = {{0, first}, {first, w.buf().size() - first}};
+  std::string payload;
+  wire::EncodeReduceRequest(req, &payload);
+  // Fixed fields (26 bytes), the input count, then 16 bytes per slice: the
+  // request no longer grows with the bucket.
+  EXPECT_EQ(payload.size(), 26u + 4u + 2u * 16u);
 
   wire::ReduceRequest got;
-  ASSERT_TRUE(wire::DecodeReduceRequest(a, &got).ok());
+  ASSERT_TRUE(wire::DecodeReduceRequest(payload, &got).ok());
   EXPECT_EQ(got.task_id, 4u);
+  EXPECT_EQ(got.dispatch, 2u);
   EXPECT_EQ(got.attempt, 1u);
   EXPECT_EQ(got.base_partition, 3u);
   EXPECT_TRUE(got.sort_output);
   EXPECT_EQ(got.fault_kind, FaultKind::kStraggler);
   EXPECT_EQ(got.straggler_seconds, 0.125);
-  EXPECT_EQ(got.buckets, req.buckets);
+  EXPECT_EQ(got.inputs, req.inputs);
+
+  std::vector<Row> rows = TestRows();
+  ASSERT_TRUE(DecodeBucket(segment->bytes(), got.inputs[0], &rows).ok());
+  EXPECT_TRUE(rows.empty());
+  ASSERT_TRUE(DecodeBucket(segment->bytes(), got.inputs[1], &rows).ok());
+  EXPECT_EQ(rows, TestRows());
+}
+
+TEST(ShuffleSegment, SliceOutsideTheSegmentIsRejectedBeforeAnyRead) {
+  // A slice comes from a request, so a worker checks it against the
+  // segment's size before it reads a byte. The segment is one page and the
+  // bucket ends exactly at its end, so a read past the end would fault.
+  auto segment = ShuffleSegment::Create();
+  ASSERT_NE(segment, nullptr);
+  rpc::WireWriter w;
+  w.Rows(TestRows());
+  const uint64_t size = 4096;
+  const uint64_t len = w.buf().size();
+  const uint64_t at = size - len;
+  ASSERT_TRUE(segment->Allocate(size).ok());
+  std::memcpy(segment->data() + at, w.buf().data(), len);
+
+  std::vector<Row> rows;
+  ASSERT_TRUE(DecodeBucket(segment->bytes(), {at, len}, &rows).ok());
+  EXPECT_EQ(rows, TestRows());
+
+  const uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  const SegmentSlice outside[] = {
+      {at, len + 1},          // one byte past the end
+      {at + 1, len},          // shifted past the end
+      {size, 1},              // starts at the end
+      {size + 1, 0},          // starts past the end
+      {kMax, 1},              // far past the end
+      {at, kMax - at + 1},    // offset + length wraps to 0
+      {8, kMax - 7},          // wraps to 0 from a small offset
+      {at, kMax},             // wraps to just below the offset
+  };
+  for (const SegmentSlice& slice : outside) {
+    const Status st = DecodeBucket(segment->bytes(), slice, &rows);
+    EXPECT_EQ(st.code(), StatusCode::kRpcError)
+        << slice.offset << " +" << slice.length << ": " << st.ToString();
+    EXPECT_NE(st.message().find("outside"), std::string::npos) << st.message();
+  }
+
+  // The reduce body on a segment: a rejected slice, or a slice count other
+  // than the stage's input count, fails the attempt without running the
+  // reducer.
+  MRStage stage;
+  stage.name = "s";
+  bool ran = false;
+  stage.reducer = [&ran](int, const std::vector<std::vector<Row>>&,
+                         std::vector<Row>*) {
+    ran = true;
+    return Status::OK();
+  };
+  const std::vector<Schema> schemas = {TestSchema()};
+  const std::vector<std::vector<SegmentSlice>> bad = {
+      {{at, kMax - at + 1}}, {{at, len}, {at, len}}, {}};
+  for (const std::vector<SegmentSlice>& slices : bad) {
+    ReduceAttemptContext ctx;
+    ctx.stage = &stage;
+    ctx.slices = &slices;
+    ctx.input_schemas = &schemas;
+    const AttemptReport report =
+        RunReduceAttemptOnSegment(segment->bytes(), ctx);
+    EXPECT_EQ(report.status.code(), StatusCode::kRpcError)
+        << report.status.ToString();
+    EXPECT_FALSE(ran);
+  }
+  const std::vector<SegmentSlice> good = {{at, len}};
+  ReduceAttemptContext ctx;
+  ctx.stage = &stage;
+  ctx.slices = &good;
+  ctx.input_schemas = &schemas;
+  EXPECT_TRUE(RunReduceAttemptOnSegment(segment->bytes(), ctx).status.ok());
+  EXPECT_TRUE(ran);
 }
 
 TEST(RpcMessages, ReduceResponseRoundTrip) {
@@ -469,9 +555,10 @@ TEST(RpcMessages, ReduceResponseRoundTrip) {
 }
 
 TEST(RpcMessages, EveryDecoderRejectsTruncationCleanly) {
-  // Shared property over all four payload codecs: every strict prefix of a
+  // Shared property over the four payload codecs and the shuffle bucket
+  // codec a worker reads its segment slices with: every strict prefix of a
   // valid payload decodes to an error, never a crash or an accepted value.
-  std::string payloads[4];
+  std::string payloads[5];
   MapTaskSpec spec;
   spec.task_id = 1;
   wire::EncodeMapRequest(spec, &payloads[0]);
@@ -479,14 +566,16 @@ TEST(RpcMessages, EveryDecoderRejectsTruncationCleanly) {
   mresp.result.refs = {{{1, 0}, {2, 1}}};
   wire::EncodeMapResponse(mresp, &payloads[1]);
   wire::ReduceRequest rreq;
-  rreq.input_schemas = {TestSchema()};
-  rreq.buckets = {TestRows()};
+  rreq.inputs = {{0, 123}, {123, 45}};
   wire::EncodeReduceRequest(rreq, &payloads[2]);
   wire::ReduceResponse rresp;
   rresp.rows = TestRows();
   wire::EncodeReduceResponse(rresp, &payloads[3]);
+  rpc::WireWriter bucket;
+  bucket.Rows(TestRows());
+  payloads[4] = bucket.Take();
 
-  for (int which = 0; which < 4; ++which) {
+  for (int which = 0; which < 5; ++which) {
     const std::string& full = payloads[which];
     for (size_t n = 0; n < full.size(); ++n) {
       const std::string_view prefix(full.data(), n);
@@ -510,6 +599,12 @@ TEST(RpcMessages, EveryDecoderRejectsTruncationCleanly) {
         case 3: {
           wire::ReduceResponse r;
           st = wire::DecodeReduceResponse(prefix, &r);
+          break;
+        }
+        case 4: {
+          // The slice is the prefix; the segment holds the whole bucket.
+          std::vector<Row> rows;
+          st = DecodeBucket(full, {0, n}, &rows);
           break;
         }
       }

@@ -172,6 +172,32 @@ TEST(MultiProcess, BtPipelineBitIdenticalAcrossWorkerCounts) {
   }
 }
 
+TEST(MultiProcess, ReducersReadBucketsFromTheSegmentNotTheSocket) {
+  // Every stage's buckets go into its shuffle segment; the socket carries
+  // only map requests and bucket slices, a vanishing fraction of that.
+  testutil::BtRun clean = testutil::RunBtJob(0);
+  for (const auto& s : clean.stats.stages) {
+    EXPECT_EQ(s.segment_bytes, 0u) << s.name;
+    EXPECT_EQ(s.rpc_request_bytes, 0u) << s.name;
+    EXPECT_EQ(s.rpc_response_bytes, 0u) << s.name;
+  }
+  if (!mr::ProcessModeSupported()) {
+    GTEST_SKIP() << "process mode unsupported in this build";
+  }
+  ProcessOptions popt;
+  popt.workers = 3;
+  testutil::BtRun run = RunBtProcess(popt);
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  ASSERT_FALSE(run.stats.stages.empty());
+  for (const auto& s : run.stats.stages) {
+    SCOPED_TRACE(s.name);
+    EXPECT_GT(s.segment_bytes, 0u);
+    EXPECT_LT(s.rpc_request_bytes, s.segment_bytes / 100);
+    EXPECT_GT(s.rpc_response_bytes, 0u);
+  }
+  testutil::ExpectStoresBitIdentical(clean.store, run.store);
+}
+
 TEST(MultiProcess, ComposesWithAppLevelFaultInjection) {
   // The injector lives in the driver (one draw per attempt, shipped to the
   // worker inside the reduce request): task-level chaos must compose with
