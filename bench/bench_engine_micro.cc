@@ -272,6 +272,29 @@ void BM_GroupedCount(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupedCount)->Arg(16)->Arg(256)->Arg(4096);
 
+// BotStream's sub-plan shape (Figure 11): per key, a Union of two filtered
+// hopping-window counts, each thresholded. Val < 20 stands in for clicks and
+// Val >= 60 for searches.
+void BM_GroupedUnionCount(benchmark::State& state) {
+  auto events = MakeEvents(1 << 15, state.range(0), 3);
+  auto branch = [](T::Query g, T::CmpOp op, int64_t bound, int64_t threshold) {
+    return g.WhereCmp("Val", op, Value(bound))
+        .HoppingWindow(512, 64)
+        .Count("cnt")
+        .WhereCmp("cnt", T::CmpOp::kGt, Value(threshold));
+  };
+  auto plan = T::Query::Input("S", TwoColSchema())
+                  .GroupApply({"Key"},
+                              [&](T::Query g) {
+                                return T::Query::Union(
+                                    branch(g, T::CmpOp::kLt, 20, 1),
+                                    branch(g, T::CmpOp::kGe, 60, 2));
+                              })
+                  .node();
+  RunPlan(state, plan, events);
+}
+BENCHMARK(BM_GroupedUnionCount)->Arg(16)->Arg(256)->Arg(4096);
+
 void BM_TemporalJoin(benchmark::State& state) {
   auto left = MakeEvents(state.range(0), 256, 4);
   auto right = MakeEvents(state.range(0), 256, 5);

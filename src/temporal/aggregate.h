@@ -9,6 +9,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -97,6 +98,13 @@ class ScalarSweep {
   }
 
   bool active() const { return count_ > 0; }
+  /// Holds no state: every boundary applied, nothing active, and the running
+  /// sum back to exactly +0.0 (fractional values can leave a residue that a
+  /// later snapshot would inherit). An idle sweep acts as a fresh one.
+  bool idle() const {
+    return head_ == pending_.size() && count_ == 0 &&
+           std::bit_cast<uint64_t>(sum_) == 0;
+  }
   /// Start of the open snapshot (meaningful while active()).
   Timestamp open_since() const { return open_since_; }
   /// Earliest unflushed boundary, or kMaxTime when none is pending.

@@ -125,31 +125,47 @@ ColumnarIngestDecisions PlanColumnarIngest(const PlanNodePtr& root) {
   return ColumnarIngestPlanner(root.get()).Run();
 }
 
+namespace {
+
+/// Appends the branches of the Union tree rooted at `n` to `shape`, left to
+/// right; false when a leaf is not the grouped-aggregate chain.
+bool MatchBranches(const PlanNode* n, GroupedAggregateShape* shape) {
+  if (n->kind == OpKind::kUnion) {
+    return MatchBranches(n->children[0].get(), shape) &&
+           MatchBranches(n->children[1].get(), shape);
+  }
+  // Walk the chain from the leaf's root down to the sub-plan input.
+  GroupedAggregateShape::Branch branch;
+  auto next = [&n]() {
+    n = n->children.size() == 1 ? n->children[0].get() : nullptr;
+  };
+  for (; n != nullptr && n->kind == OpKind::kSelect; next()) {
+    branch.tail.insert(branch.tail.begin(), n);
+  }
+  if (n == nullptr || n->kind != OpKind::kAggregate ||
+      !internal::ScalarAggregate(n->agg.kind)) {
+    return false;
+  }
+  branch.aggregate = n;
+  for (next(); n != nullptr && (n->kind == OpKind::kSelect ||
+                                n->kind == OpKind::kAlterLifetime);
+       next()) {
+    branch.head.insert(branch.head.begin(), n);
+  }
+  if (n == nullptr || n->kind != OpKind::kSubplanInput) return false;
+  shape->branches.push_back(std::move(branch));
+  return true;
+}
+
+}  // namespace
+
 std::optional<GroupedAggregateShape> MatchGroupedAggregate(
     const PlanNode& group_apply) {
   if (group_apply.kind != OpKind::kGroupApply || !group_apply.subplan) {
     return std::nullopt;
   }
-  // Walk the chain from the sub-plan root down to its input leaf.
   GroupedAggregateShape shape;
-  const PlanNode* n = group_apply.subplan.get();
-  auto next = [&n]() {
-    n = n->children.size() == 1 ? n->children[0].get() : nullptr;
-  };
-  for (; n != nullptr && n->kind == OpKind::kSelect; next()) {
-    shape.tail.insert(shape.tail.begin(), n);
-  }
-  if (n == nullptr || n->kind != OpKind::kAggregate ||
-      !internal::ScalarAggregate(n->agg.kind)) {
-    return std::nullopt;
-  }
-  shape.aggregate = n;
-  for (next(); n != nullptr && (n->kind == OpKind::kSelect ||
-                                n->kind == OpKind::kAlterLifetime);
-       next()) {
-    shape.head.insert(shape.head.begin(), n);
-  }
-  if (n == nullptr || n->kind != OpKind::kSubplanInput) return std::nullopt;
+  if (!MatchBranches(group_apply.subplan.get(), &shape)) return std::nullopt;
   return shape;
 }
 
@@ -412,24 +428,25 @@ class NetworkBuilder {
         TIMR_ASSIGN_OR_RETURN(std::vector<int> key_idx,
                               in.IndicesOf(node->group_keys));
         if (auto shape = MatchGroupedAggregate(*node)) {
-          std::vector<FusedStatelessOp::Step> head;
-          for (const PlanNode* n : shape->head) {
-            head.push_back(n->kind == OpKind::kSelect
-                               ? FusedStatelessOp::Step::Select(n->pred,
-                                                                n->select_spec)
-                               : FusedStatelessOp::Step::Alter(n->alter));
-          }
-          const AggregateSpec& agg = shape->aggregate->agg;
-          int value_index = -1;
-          if (agg.kind != AggKind::kCount) {
-            TIMR_ASSIGN_OR_RETURN(value_index, in.IndexOf(agg.value_column));
-          }
-          std::vector<Predicate> tail;
-          for (const PlanNode* n : shape->tail) tail.push_back(n->pred);
           TIMR_RETURN_NOT_OK(node->subplan->OutputSchema().status());
+          std::vector<GroupedAggregateOp::Branch> branches;
+          for (const GroupedAggregateShape::Branch& s : shape->branches) {
+            GroupedAggregateOp::Branch& b = branches.emplace_back();
+            for (const PlanNode* n : s.head) {
+              b.head.push_back(
+                  n->kind == OpKind::kSelect
+                      ? FusedStatelessOp::Step::Select(n->pred, n->select_spec)
+                      : FusedStatelessOp::Step::Alter(n->alter));
+            }
+            b.kind = s.aggregate->agg.kind;
+            if (b.kind != AggKind::kCount) {
+              TIMR_ASSIGN_OR_RETURN(b.value_index,
+                                    in.IndexOf(s.aggregate->agg.value_column));
+            }
+            for (const PlanNode* n : s.tail) b.tail.push_back(n->pred);
+          }
           return Register(std::make_shared<GroupedAggregateOp>(
-              std::move(key_idx), std::move(head), agg.kind, value_index,
-              std::move(tail)));
+              std::move(key_idx), std::move(branches)));
         }
         PlanNodePtr sub = node->subplan;
         SubPlanFactory factory = [sub](EventSink* output) {

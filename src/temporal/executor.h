@@ -45,18 +45,22 @@ struct ColumnarIngestDecisions {
 ColumnarIngestDecisions PlanColumnarIngest(const PlanNodePtr& root);
 
 /// \brief A GroupApply sub-plan that runs as one GroupedAggregateOp
-/// (group_apply.h) instead of one operator network per group: the chain
-/// SubplanInput → (Select | AlterLifetime)* → Aggregate{Count, Sum, Avg} →
-/// Select*. Nodes are listed upstream first.
+/// (group_apply.h) instead of one operator network per group: a Union tree
+/// (or a lone chain) whose every leaf is the chain SubplanInput →
+/// (Select | AlterLifetime)* → Aggregate{Count, Sum, Avg} → Select*.
 struct GroupedAggregateShape {
-  std::vector<const PlanNode*> head;  // Select / AlterLifetime
-  const PlanNode* aggregate = nullptr;
-  std::vector<const PlanNode*> tail;  // Select
+  /// One Union leaf, nodes listed upstream first.
+  struct Branch {
+    std::vector<const PlanNode*> head;  // Select / AlterLifetime
+    const PlanNode* aggregate = nullptr;
+    std::vector<const PlanNode*> tail;  // Select
+  };
+  std::vector<Branch> branches;  // the Union tree's leaves, left to right
 };
 
 /// The one place that decides the lowering: the shape of `group_apply`'s
-/// sub-plan, or nullopt when it keeps the per-group GroupApplyOp (unions,
-/// joins, UDOs, Min/Max, a Project, nested GroupApply, ...).
+/// sub-plan, or nullopt when it keeps the per-group GroupApplyOp (joins,
+/// UDOs, Min/Max, a Project, nested GroupApply, a Select above a Union, ...).
 std::optional<GroupedAggregateShape> MatchGroupedAggregate(
     const PlanNode& group_apply);
 

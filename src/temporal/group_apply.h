@@ -13,56 +13,12 @@
 
 #include "common/hash.h"
 #include "temporal/aggregate.h"
+#include "temporal/join.h"
 #include "temporal/operator.h"
 #include "temporal/stateless_ops.h"
+#include "temporal/tee.h"
 
 namespace timr::temporal {
-
-namespace internal {
-
-// Heterogeneous (C++20 transparent) hashing so a group probe looks up by a
-// view over an event's key columns without materializing a key Row;
-// HashKeyOf(row, idx) == HashRow(ExtractKey(row, idx)) by construction, and
-// ComputeKeyHashes matches it bit for bit on columnar batches.
-struct KeyView {
-  const Row* payload;           // row events, or
-  const ColumnarPayload* cols;  // columnar events (row `row`)
-  size_t row;
-  const std::vector<int>* indices;
-  uint64_t hash = 0;  // precomputed key hash, 0 when unknown
-};
-struct GroupHash {
-  using is_transparent = void;
-  size_t operator()(const Row& r) const { return HashRow(r); }
-  size_t operator()(const KeyView& v) const {
-    // A columnar view always carries its (ComputeKeyHashes) hash, even 0.
-    return v.hash != 0 || v.payload == nullptr
-               ? static_cast<size_t>(v.hash)
-               : HashKeyOf(*v.payload, *v.indices);
-  }
-};
-struct GroupKeyEq {
-  using is_transparent = void;
-  bool operator()(const Row& a, const Row& b) const { return a == b; }
-  bool operator()(const KeyView& v, const Row& b) const {
-    if (v.indices->size() != b.size()) return false;
-    for (size_t i = 0; i < b.size(); ++i) {
-      const int c = (*v.indices)[i];
-      if (!(v.cols != nullptr ? v.cols->ValueAt(v.row, c) == b[i]
-                              : (*v.payload)[c] == b[i])) {
-        return false;
-      }
-    }
-    return true;
-  }
-  bool operator()(const Row& a, const KeyView& v) const {
-    return operator()(v, a);
-  }
-};
-template <class V>
-using GroupMap = std::unordered_map<Row, V, GroupHash, GroupKeyEq>;
-
-}  // namespace internal
 
 /// \brief Output half shared by both GroupApply operators: per-group results
 /// (group key already prepended) wait in a reorder buffer that releases them
@@ -133,7 +89,8 @@ using SubPlanFactory =
 /// \brief Routes events to per-group sub-plan instances and merges their
 /// outputs back into one ordered stream, with the group key prepended to each
 /// output payload. Runs every GroupApply that MatchGroupedAggregate
-/// (executor.h) does not lower to a GroupedAggregateOp.
+/// (executor.h) does not lower to a GroupedAggregateOp: sub-plans with
+/// joins, UDOs, Min/Max, a Project or a nested GroupApply.
 ///
 /// Watermarking: sub-plan output CTIs are data-dependent (an aggregate with an
 /// open snapshot holds its CTI at the snapshot start), so the operator's
@@ -245,7 +202,7 @@ class GroupApplyOp : public GroupOutputOperator {
     // Heterogeneous probe: the existing-group hit path (the hot one) looks up
     // by a view over the payload's key columns without materializing a key Row.
     auto it = groups_.find(
-        internal::KeyView{&event.payload, nullptr, 0, &key_indices_, key_hash});
+        internal::RowKeyView{&event.payload, &key_indices_, key_hash});
     if (it == groups_.end()) {
       Row key = ExtractKey(event.payload, key_indices_);
       auto sink = std::make_unique<InstanceSink>(this, key, /*proto=*/false);
@@ -323,7 +280,7 @@ class GroupApplyOp : public GroupOutputOperator {
     std::unique_ptr<SubPlanNetwork> instance;
     std::unique_ptr<InstanceSink> sink;
   };
-  internal::GroupMap<Group> groups_;
+  std::unordered_map<Row, Group, internal::RowHash, internal::RowEq> groups_;
 
   std::unique_ptr<InstanceSink> prototype_sink_;
   std::unique_ptr<SubPlanNetwork> prototype_;
@@ -340,79 +297,139 @@ class GroupApplyOp : public GroupOutputOperator {
   EventBatch route_ = EventBatch::Unpooled();  // what Route/Advance send
 };
 
-/// \brief GroupApply over a scalar aggregate, run as one operator instead of
-/// one sub-plan network per group. MatchGroupedAggregate (executor.h) selects
-/// it for sub-plans SubplanInput → (Select | AlterLifetime)* →
-/// Aggregate{Count, Sum, Avg} → Select*.
+/// \brief GroupApply over a Union of scalar aggregates, run as one operator
+/// instead of one sub-plan network per group. MatchGroupedAggregate
+/// (executor.h) selects it for sub-plans whose every Union leaf is a branch
+/// SubplanInput → (Select | AlterLifetime)* → Aggregate{Count, Sum, Avg} →
+/// Select* (a lone chain is a Union of one).
 ///
-/// The head steps run once on the ungrouped stream (a FusedStatelessOp, so
-/// columnar batches keep their kernels). Each key then owns one ScalarSweep
-/// lane in a hash table. A lane is flushed to the head-mapped pending CTI
-/// right before it takes an event (where GroupApplyOp's instance would get
-/// that CTI) and otherwise only once a boundary falls due: a min-heap over
-/// the lanes' next boundaries, so a CTI costs O(due lanes · log n) instead of
-/// a periodic pass over every group. Snapshots get the key prepended, pass
-/// the tail Selects, and enter the shared reorder buffer, released up to
-/// min(pending CTI, earliest open snapshot of any lane).
+/// Each branch's head steps run once on the ungrouped stream (a
+/// FusedStatelessOp, so columnar batches keep their kernels; a tee hands
+/// every branch its own view). Each key owns one slot in a flat table: the
+/// key, stored once, and one ScalarSweep lane per branch. A lane is flushed
+/// to its branch's head-mapped pending CTI right before it takes an event
+/// (where GroupApplyOp's instance would get that CTI) and otherwise only once
+/// a boundary falls due: a per-branch min-heap over the lanes' next
+/// boundaries, so a CTI costs O(due lanes · log n) instead of a periodic pass
+/// over every group. Snapshots get the key prepended, pass the branch's tail
+/// Selects, and enter the shared reorder buffer, released up to the minimum
+/// over branches of min(pending CTI, earliest open snapshot of a lane).
 ///
 /// A lane is never flushed twice at one CTI: that would split a boundary's
-/// merged delta and change Sum/Avg rounding. With that rule, the shared sweep
-/// and the shared release order, output equals GroupApplyOp's bit for bit.
+/// merged delta and change Sum/Avg rounding. GroupApplyOp's instance also
+/// hands the CTI to a branch that takes no event; such a flush only splits a
+/// delta once an event at that boundary follows, and that event flushes its
+/// lane here first. With these rules, the shared sweep and the shared
+/// release order, output equals GroupApplyOp's bit for bit.
 /// Accounting matches too: one consumed event per routed input.
+///
+/// Slots are found by open addressing on the precomputed key hash
+/// (ComputeKeyHashes / HashKeyOf). A slot whose lanes are all idle (see
+/// ScalarSweep::idle) is retired and reused, so the table holds only keys
+/// with live state; an idle lane acts as a fresh one, so a returning key's
+/// new slot behaves exactly as its retired one would have. Heap entries
+/// carry the slot's generation and are skipped once it was retired.
 class GroupedAggregateOp : public GroupOutputOperator {
  public:
-  /// `head` in pipeline order; `value_index` is -1 for Count.
-  GroupedAggregateOp(std::vector<int> key_indices,
-                     std::vector<FusedStatelessOp::Step> head, AggKind kind,
-                     int value_index, std::vector<Predicate> tail)
+  /// One Union leaf of the sub-plan.
+  struct Branch {
+    std::vector<FusedStatelessOp::Step> head;  // pipeline order
+    AggKind kind = AggKind::kCount;
+    int value_index = -1;  // -1 for Count
+    std::vector<Predicate> tail;
+  };
+
+  GroupedAggregateOp(std::vector<int> key_indices, std::vector<Branch> branches)
       : key_indices_(std::move(key_indices)),
-        kind_(kind),
-        value_index_(value_index),
-        tail_(std::move(tail)),
-        lanes_in_(this) {
-    if (!head.empty()) {
-      head_ = std::make_unique<FusedStatelessOp>(std::move(head));
-      head_->AddOutput(&lanes_in_);
+        branches_(branches.size()),
+        index_(16, Bucket{kNoSlot, 0}) {
+    for (size_t b = 0; b < branches.size(); ++b) {
+      BranchState& br = branches_[b];
+      br.op = this;
+      br.index = b;
+      br.kind = branches[b].kind;
+      br.value_index = branches[b].value_index;
+      br.tail = std::move(branches[b].tail);
+      EventSink* entry = &br;
+      if (!branches[b].head.empty()) {
+        br.head =
+            std::make_unique<FusedStatelessOp>(std::move(branches[b].head));
+        br.head->AddOutput(&br);
+        entry = br.head.get();
+      }
+      if (branches.size() == 1) {
+        input_ = entry;
+      } else {
+        tee_.AddPort(entry);
+        input_ = &tee_;
+      }
     }
   }
 
   void OnBatch(EventBatch&& batch) override {
     CountConsumedN(batch.NumEvents());
-    Input()->OnBatch(std::move(batch));
+    input_->OnBatch(std::move(batch));
+    Release();
     Flush();
   }
 
  private:
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
   struct Lane {
-    const Row* key = nullptr;
     internal::ScalarSweep sweep;
     Timestamp flushed = kMinTime;   // CTI of the last flush
     Timestamp due = kMaxTime;       // key of the live due-heap entry
     Timestamp open_key = kMaxTime;  // key of the newest open-heap entry
   };
-  using HeapEntry = std::pair<Timestamp, Lane*>;
-  using MinHeap = std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                                      std::greater<>>;
-
-  // The head's output: events with mapped lifetimes, and mapped CTIs.
-  struct LaneInput : public EventSink {
-    explicit LaneInput(GroupedAggregateOp* op_in) : op(op_in) {}
-    void OnBatch(EventBatch&& batch) override { op->RouteBatch(batch); }
-    GroupedAggregateOp* op;
+  struct Slot {
+    Row key;
+    uint64_t hash = 0;
+    uint32_t gen = 0;  // bumped when the slot is retired
+  };
+  // (time, slot, generation); stale once the slot's generation moved on.
+  struct Ref {
+    Timestamp t;
+    uint32_t slot;
+    uint32_t gen;
+    bool operator>(const Ref& o) const {
+      if (t != o.t) return t > o.t;
+      return slot > o.slot;
+    }
+  };
+  using MinHeap = std::priority_queue<Ref, std::vector<Ref>, std::greater<>>;
+  // One open-addressing bucket: the slot and the high half of its key hash.
+  struct Bucket {
+    uint32_t slot;
+    uint32_t tag;
   };
 
-  EventSink* Input() {
-    return head_ != nullptr ? static_cast<EventSink*>(head_.get()) : &lanes_in_;
+  // A branch's state; also the sink its head's output (events with mapped
+  // lifetimes, and mapped CTIs) arrives at.
+  struct BranchState : public EventSink {
+    void OnBatch(EventBatch&& batch) override { op->RouteBatch(*this, batch); }
+
+    GroupedAggregateOp* op = nullptr;
+    size_t index = 0;
+    AggKind kind = AggKind::kCount;
+    int value_index = -1;
+    std::vector<Predicate> tail;
+    std::unique_ptr<FusedStatelessOp> head;
+    Timestamp pending = kMinTime;  // head-mapped input CTI
+    Timestamp settled = kMinTime;
+    MinHeap due;   // (next boundary, slot); stale unless the lane's due matches
+    MinHeap open;  // (open snapshot start, slot) of active lanes, lazily pruned
+    std::vector<Ref> deferred;
+  };
+
+  Lane& LaneAt(uint32_t slot, const BranchState& br) {
+    return lanes_[slot * branches_.size() + br.index];
   }
 
-  double ValueOf(const Row& payload) const {
-    return kind_ == AggKind::kCount ? 1.0 : payload[value_index_].AsNumeric();
-  }
-
-  void RouteBatch(EventBatch& batch) {
+  void RouteBatch(BranchState& br, EventBatch& batch) {
     // A string value column (AsNumeric rejects it anyway) takes the row path.
-    if (batch.columnar() && kind_ != AggKind::kCount &&
-        std::as_const(batch).columnar_payload().col(value_index_).type ==
+    if (batch.columnar() && br.kind != AggKind::kCount &&
+        std::as_const(batch).columnar_payload().col(br.value_index).type ==
             ValueType::kString) {
       batch.EnsureRows();
     }
@@ -421,132 +438,232 @@ class GroupedAggregateOp : public GroupOutputOperator {
     size_t m = 0;
     auto advance_to = [&](size_t i) {
       for (; m < marks.size() && marks[m].pos <= i; ++m) {
-        pending_ = std::max(pending_, marks[m].t);
+        br.pending = std::max(br.pending, marks[m].t);
       }
     };
     if (in.columnar()) {
       // Keys hash in one vectorized pass and lanes read le/re and the value
-      // column in place; a key Row is built only for a new lane.
+      // column in place; a key Row is built only for a new slot.
       const ColumnarPayload& p = in.columnar_payload();
       ComputeKeyHashes(p, key_indices_, &hashes_);
       const Column* vc =
-          kind_ == AggKind::kCount ? nullptr : &p.col(value_index_);
+          br.kind == AggKind::kCount ? nullptr : &p.col(br.value_index);
       for (size_t i = 0; i < p.num_rows(); ++i) {
         advance_to(i);
         const double v = vc == nullptr ? 1.0
                          : vc->type == ValueType::kInt64
                              ? static_cast<double>(vc->i64[i])
                              : vc->f64[i];
-        Add(LaneFor({nullptr, &p, i, &key_indices_, hashes_[i]}), p.le()[i],
-            p.re()[i], v);
+        Add(br, SlotFor(hashes_[i], nullptr, &p, i), p.le()[i], p.re()[i],
+            v);
       }
     } else {
-      const auto& events = in.events();
-      for (size_t i = 0; i < events.size(); ++i) {
+      for (size_t i = 0; i < in.events().size(); ++i) {
         advance_to(i);
-        const Event& e = events[i];
-        Add(LaneFor({&e.payload, nullptr, 0, &key_indices_}), e.le, e.re,
-            ValueOf(e.payload));
+        const Event& e = in.events()[i];
+        const uint32_t s =
+            SlotFor(HashKeyOf(e.payload, key_indices_), &e.payload, nullptr, 0);
+        Add(br, s, e.le, e.re,
+            br.kind == AggKind::kCount ? 1.0
+                                       : e.payload[br.value_index].AsNumeric());
       }
     }
     advance_to(in.NumEvents());
     batch.Clear();
-    Settle();
+    Settle(br);
   }
 
-  Lane& LaneFor(const internal::KeyView& view) {
-    auto it = lanes_.find(view);
-    if (it == lanes_.end()) {
-      Row key;
-      key.reserve(key_indices_.size());
-      for (int c : key_indices_) {
-        key.push_back(view.cols != nullptr ? view.cols->ValueAt(view.row, c)
-                                           : (*view.payload)[c]);
+  /// Whether slot `s` holds the key of row `row` (of `cols` when non-null,
+  /// else of `payload`).
+  bool KeyMatches(uint32_t s, const Row* payload, const ColumnarPayload* cols,
+                  size_t row) const {
+    const Row& key = slots_[s].key;
+    for (size_t i = 0; i < key.size(); ++i) {
+      const int c = key_indices_[i];
+      if (!(cols != nullptr ? cols->ValueAt(row, c) == key[i]
+                            : (*payload)[c] == key[i])) {
+        return false;
       }
-      it = lanes_.emplace(std::move(key), Lane{}).first;
-      it->second.key = &it->first;
     }
-    return it->second;
+    return true;
   }
 
-  void Add(Lane& lane, Timestamp le, Timestamp re, double v) {
-    if (lane.flushed < pending_) FlushLane(lane);
-    TIMR_DCHECK(le >= pending_) << "event arrived below the pending CTI";
+  /// The slot of the key with hash `hash` (see KeyMatches for the row), made
+  /// on first sight: linear probing, the tag screening most mismatches.
+  uint32_t SlotFor(uint64_t hash, const Row* payload,
+                   const ColumnarPayload* cols, size_t row) {
+    const auto tag = static_cast<uint32_t>(hash >> 32);
+    size_t mask = index_.size() - 1;
+    size_t i = hash & mask;
+    for (; index_[i].slot != kNoSlot; i = (i + 1) & mask) {
+      if (index_[i].tag == tag &&
+          KeyMatches(index_[i].slot, payload, cols, row)) {
+        return index_[i].slot;
+      }
+    }
+    if ((live_ + 1) * 2 > index_.size()) {  // keep the load at most 1/2
+      Rehash(index_.size() * 2);
+      mask = index_.size() - 1;
+      i = hash & mask;
+      while (index_[i].slot != kNoSlot) i = (i + 1) & mask;
+    }
+    uint32_t s;
+    if (free_.empty()) {
+      s = static_cast<uint32_t>(slots_.size());
+      slots_.emplace_back();
+      lanes_.resize(lanes_.size() + branches_.size());
+    } else {
+      s = free_.back();
+      free_.pop_back();
+    }
+    Slot& slot = slots_[s];
+    slot.key.clear();
+    for (int c : key_indices_) {
+      slot.key.push_back(cols != nullptr ? cols->ValueAt(row, c)
+                                         : (*payload)[c]);
+    }
+    slot.hash = hash;
+    index_[i] = Bucket{s, tag};
+    ++live_;
+    return s;
+  }
+
+  void Rehash(size_t capacity) {
+    std::vector<Bucket> old = std::move(index_);
+    index_.assign(capacity, Bucket{kNoSlot, 0});
+    const size_t mask = capacity - 1;
+    for (const Bucket& b : old) {
+      if (b.slot == kNoSlot) continue;
+      size_t i = slots_[b.slot].hash & mask;
+      while (index_[i].slot != kNoSlot) i = (i + 1) & mask;
+      index_[i] = b;
+    }
+  }
+
+  /// Frees slot `s` when every lane in it is idle: its bucket is removed
+  /// with a backward shift (no tombstones), and its generation moves on.
+  void MaybeRetire(uint32_t s) {
+    for (const BranchState& br : branches_) {
+      if (!LaneAt(s, br).sweep.idle()) return;
+    }
+    const size_t mask = index_.size() - 1;
+    size_t hole = slots_[s].hash & mask;
+    while (index_[hole].slot != s) hole = (hole + 1) & mask;
+    for (size_t i = (hole + 1) & mask; index_[i].slot != kNoSlot;
+         i = (i + 1) & mask) {
+      const size_t home = slots_[index_[i].slot].hash & mask;
+      if (((i - home) & mask) >= ((i - hole) & mask)) {
+        index_[hole] = index_[i];
+        hole = i;
+      }
+    }
+    index_[hole].slot = kNoSlot;
+    for (const BranchState& br : branches_) {
+      Lane& lane = LaneAt(s, br);
+      lane.due = kMaxTime;
+      lane.open_key = kMaxTime;
+    }
+    ++slots_[s].gen;
+    free_.push_back(s);
+    --live_;
+  }
+
+  void Add(BranchState& br, uint32_t s, Timestamp le, Timestamp re, double v) {
+    Lane& lane = LaneAt(s, br);
+    if (lane.flushed < br.pending) FlushLane(br, s, lane);
+    TIMR_DCHECK(le >= br.pending) << "event arrived below the pending CTI";
     lane.sweep.Add(le, re, v);
     const Timestamp next = lane.sweep.next_boundary();
     if (next < lane.due) {
       lane.due = next;
-      due_.push({next, &lane});
+      br.due.push({next, s, slots_[s].gen});
     }
   }
 
-  void FlushLane(Lane& lane) {
-    lane.flushed = pending_;
-    lane.sweep.Flush(pending_, kind_, [&](Timestamp le, Timestamp re, Value v) {
-      if (!tail_.empty()) {
+  void FlushLane(BranchState& br, uint32_t s, Lane& lane) {
+    lane.flushed = br.pending;
+    const Row& key = slots_[s].key;
+    lane.sweep.Flush(br.pending, br.kind,
+                     [&](Timestamp le, Timestamp re, Value v) {
+      if (!br.tail.empty()) {
         tail_row_.assign(1, v);
-        for (const Predicate& keep : tail_) {
+        for (const Predicate& keep : br.tail) {
           if (!keep(tail_row_)) return;
         }
       }
       Row out;
-      out.reserve(lane.key->size() + 1);
-      out.insert(out.end(), lane.key->begin(), lane.key->end());
+      out.reserve(key.size() + 1);
+      out.insert(out.end(), key.begin(), key.end());
       out.push_back(std::move(v));
       BufferOutput(Event(le, re, std::move(out)));
     });
     const Timestamp open = lane.sweep.open_since();
     if (lane.sweep.active() && open != lane.open_key) {
       lane.open_key = open;
-      open_.push({open, &lane});
+      br.open.push({open, s, slots_[s].gen});
     }
   }
 
-  /// Flushes every lane with a boundary at or before the pending CTI, then
-  /// releases output up to the new watermark.
-  void Settle() {
-    if (pending_ <= settled_) return;  // nothing can have fallen due
-    settled_ = pending_;
-    while (!due_.empty() && due_.top().first <= pending_) {
-      const auto [t, lane] = due_.top();
-      due_.pop();
-      if (lane->due != t) continue;  // superseded by an earlier boundary
-      if (lane->flushed == pending_) {
+  /// Flushes every lane of `br` with a boundary at or before its pending CTI
+  /// and retires the slots this leaves idle.
+  void Settle(BranchState& br) {
+    if (br.pending <= br.settled) return;  // nothing can have fallen due
+    br.settled = br.pending;
+    while (!br.due.empty() && br.due.top().t <= br.pending) {
+      const Ref r = br.due.top();
+      br.due.pop();
+      if (slots_[r.slot].gen != r.gen) continue;  // slot retired since
+      Lane& lane = LaneAt(r.slot, br);
+      if (lane.due != r.t) continue;  // superseded by an earlier boundary
+      if (lane.flushed == br.pending) {
         // Took an event at the pending CTI after its flush here; it is due
         // at the next CTI, when GroupApplyOp's instance would flush it.
-        deferred_.push_back(lane);
+        br.deferred.push_back(r);
         continue;
       }
-      FlushLane(*lane);
-      lane->due = lane->sweep.next_boundary();
-      if (lane->due != kMaxTime) due_.push({lane->due, lane});
+      FlushLane(br, r.slot, lane);
+      lane.due = lane.sweep.next_boundary();
+      if (lane.due != kMaxTime) {
+        br.due.push({lane.due, r.slot, r.gen});
+      } else {
+        MaybeRetire(r.slot);
+      }
     }
-    for (Lane* lane : deferred_) due_.push({lane->due, lane});
-    deferred_.clear();
-    // Drop entries whose lane went idle or moved its open snapshot on.
-    while (!open_.empty()) {
-      const auto [t, lane] = open_.top();
-      if (lane->sweep.active() && lane->sweep.open_since() == t) break;
-      if (lane->open_key == t) lane->open_key = kMaxTime;
-      open_.pop();
+    for (const Ref& r : br.deferred) br.due.push(r);
+    br.deferred.clear();
+  }
+
+  /// Releases output below every branch's min(pending CTI, earliest open
+  /// snapshot), dropping open-heap entries whose lane went idle, moved its
+  /// open snapshot on, or whose slot was retired.
+  void Release() {
+    Timestamp watermark = kMaxTime;
+    for (BranchState& br : branches_) {
+      while (!br.open.empty()) {
+        const Ref r = br.open.top();
+        if (slots_[r.slot].gen == r.gen) {
+          Lane& lane = LaneAt(r.slot, br);
+          if (lane.sweep.active() && lane.sweep.open_since() == r.t) break;
+          if (lane.open_key == r.t) lane.open_key = kMaxTime;
+        }
+        br.open.pop();
+      }
+      watermark = std::min(watermark, br.pending);
+      if (!br.open.empty()) watermark = std::min(watermark, br.open.top().t);
     }
-    ReleaseBelow(open_.empty() ? pending_
-                               : std::min(pending_, open_.top().first));
+    ReleaseBelow(watermark);
   }
 
   std::vector<int> key_indices_;
-  AggKind kind_;
-  int value_index_;
-  std::vector<Predicate> tail_;
+  std::vector<BranchState> branches_;  // never resized: heads point in
+  TeeOp tee_;                          // fans input out when branches > 1
+  EventSink* input_ = nullptr;
   Row tail_row_;  // the aggregate's one-column output, as the tail sees it
-  LaneInput lanes_in_;
-  std::unique_ptr<FusedStatelessOp> head_;
-  internal::GroupMap<Lane> lanes_;
-  Timestamp pending_ = kMinTime;  // head-mapped input CTI
-  Timestamp settled_ = kMinTime;
-  MinHeap due_;   // (next boundary, lane); stale unless lane->due matches
-  MinHeap open_;  // (open snapshot start, lane) of active lanes, lazily pruned
-  std::vector<Lane*> deferred_;
+  std::vector<Slot> slots_;
+  std::vector<Lane> lanes_;      // slot s, branch b at s * branches + b
+  std::vector<Bucket> index_;    // power-of-two open-addressing table
+  std::vector<uint32_t> free_;   // retired slots, reused first
+  size_t live_ = 0;              // slots in index_
   std::vector<uint64_t> hashes_;  // per-batch key hashes (columnar)
 };
 

@@ -183,33 +183,52 @@ TEST(BtPipeline, TimrMatchesSingleNode) {
                                    dist.ValueOrDie().output));
 }
 
-// The GroupApply lowering on the shipped pipeline: the per-(user, keyword)
-// UBP count and the four FeatureScores counts and sums run as grouped
-// aggregate operators; BotStream's Union sub-plan keeps one operator network
-// per group, and so does any Min/Max sub-plan.
+// The GroupApply lowering on the shipped pipeline: every GroupApply runs as
+// a grouped aggregate operator — the per-(user, keyword) UBP count, the four
+// FeatureScores counts and sums, and BotStream's Union of two hopping-window
+// counts — so an edit that sends one back to the per-group GroupApplyOp fails
+// here. A Min/Max sub-plan keeps one operator network per group.
 TEST(BtPipeline, GroupApplyLoweringCoversUbpAndFeatureCounts) {
   const auto plan =
       BtFeaturePipeline(SmallBtConfig(), Annotation::kStandard).node();
   int lowered = 0;
-  int per_group = 0;
+  int unions = 0;
   for (const temporal::PlanNode* n : temporal::CollectNodes(plan)) {
     if (n->kind != temporal::OpKind::kGroupApply) continue;
-    if (temporal::MatchGroupedAggregate(*n).has_value()) {
-      ++lowered;
-      continue;
+    const auto shape = temporal::MatchGroupedAggregate(*n);
+    ASSERT_TRUE(shape.has_value()) << "GroupApply over "
+                                   << temporal::OpKindName(n->subplan->kind);
+    ++lowered;
+    if (n->subplan->kind == temporal::OpKind::kUnion) {  // BotStream
+      ++unions;
+      EXPECT_EQ(n->group_keys, std::vector<std::string>{kColUserId});
+      EXPECT_EQ(shape->branches.size(), 2u);
     }
-    ++per_group;
-    EXPECT_EQ(n->group_keys, std::vector<std::string>{kColUserId});
-    EXPECT_EQ(n->subplan->kind, temporal::OpKind::kUnion);  // BotStream
   }
-  EXPECT_EQ(lowered, 5);
-  EXPECT_EQ(per_group, 1);
+  EXPECT_EQ(lowered, 6);
+  EXPECT_EQ(unions, 1);
 
   const Query minmax = BtInput().GroupApply({kColUserId}, [](Query g) {
     return g.Window(temporal::kHour)
         .Aggregate(temporal::AggregateSpec::Max(kColKwAdId, "m"));
   });
   EXPECT_FALSE(temporal::MatchGroupedAggregate(*minmax.node()).has_value());
+}
+
+// The same guard over the 20-CQ suite: every GroupApply in every query,
+// BotStream's in bot_stream, bot_elimination and active_bots included.
+TEST(BtPipeline, EveryBtCqSuiteGroupApplyIsLowered) {
+  int group_applies = 0;
+  for (const auto& [name, plan] : BtCqSuite(SmallBtConfig())) {
+    for (const temporal::PlanNode* n : temporal::CollectNodes(plan)) {
+      if (n->kind != temporal::OpKind::kGroupApply) continue;
+      ++group_applies;
+      EXPECT_TRUE(temporal::MatchGroupedAggregate(*n).has_value())
+          << name << ": GroupApply over "
+          << temporal::OpKindName(n->subplan->kind);
+    }
+  }
+  EXPECT_GT(group_applies, 20);
 }
 
 TEST(BtPipeline, CustomReducersMatchTemporalQueries) {

@@ -497,26 +497,39 @@ INSTANTIATE_TEST_SUITE_P(Sweep, BatchEquivalence,
 
 // ---------- GroupApply lowering vs per-group networks ----------
 //
-// A GroupApply over a scalar aggregate runs as one GroupedAggregateOp; any
-// other sub-plan keeps one operator network per group (GroupApplyOp). An
-// identity Project at the head of the sub-plan is outside the lowered shape,
-// so it forces the per-group path on the same query. The two must agree bit
-// for bit — event order and Sum/Avg rounding included — and count the same
-// engine events, at every batch size and CTI spacing.
+// A GroupApply over a scalar aggregate, or over a Union tree of them, runs as
+// one GroupedAggregateOp; any other sub-plan keeps one operator network per
+// group (GroupApplyOp). An identity Project at the head of the sub-plan is
+// outside the lowered shape, so it forces the per-group path on the same
+// query. The two must agree bit for bit — event order and Sum/Avg rounding
+// included — and count the same engine events, at every batch size, CTI
+// spacing and ingest layout.
 
 struct LoweringCase {
   AggKind kind;
   const char* head;  // "window", "hop", "shift_window", "select_window"
   bool tail;         // a WhereCmp on the aggregate output
   bool string_key;   // group by {K, S} instead of {K}
+  // Union-tree cases: one (kind, head) per branch, unioned left-deep; `kind`
+  // and `head` are then unused and `tail` applies to the even branches.
+  std::vector<std::pair<AggKind, const char*>> branches = {};
 };
 
+const char* AggKindTag(AggKind kind) {
+  return kind == AggKind::kCount ? "count" : kind == AggKind::kSum ? "sum"
+                                                                     : "avg";
+}
+
 void PrintTo(const LoweringCase& c, std::ostream* os) {
-  const char* kind = c.kind == AggKind::kCount ? "count"
-                     : c.kind == AggKind::kSum ? "sum"
-                                               : "avg";
-  *os << kind << "_" << c.head << (c.tail ? "_tail" : "")
-      << (c.string_key ? "_strkey" : "");
+  if (c.branches.empty()) {
+    *os << AggKindTag(c.kind) << "_" << c.head;
+  } else {
+    *os << "union";
+    for (const auto& [kind, head] : c.branches) {
+      *os << "_" << AggKindTag(kind) << "_" << head;
+    }
+  }
+  *os << (c.tail ? "_tail" : "") << (c.string_key ? "_strkey" : "");
 }
 
 class GroupedAggregateLowering
@@ -544,30 +557,59 @@ class GroupedAggregateLowering
     return events;
   }
 
+  // Every key is active only in bursts — one 120-tick phase in three — so it
+  // stays idle for 240 ticks, longer than any window here, and then returns:
+  // its lanes go idle, their slot is retired, and the key comes back.
+  static std::vector<Event> BurstyInputs() {
+    Rng rng(2027);
+    std::vector<Event> events;
+    for (int i = 0; i < 900; ++i) {
+      const int64_t t = rng.UniformInt(0, 1800);
+      const int64_t k = 3 * rng.UniformInt(0, 2) + (3 - (t / 120) % 3) % 3;
+      events.push_back(Event::Point(
+          t, {Value(k), Value(rng.UniformInt(0, 1) ? "a" : "b"),
+              Value(static_cast<double>(rng.UniformInt(0, 1000)) / 7.0)}));
+    }
+    std::stable_sort(
+        events.begin(), events.end(),
+        [](const Event& a, const Event& b) { return a.le < b.le; });
+    return events;
+  }
+
+  static Query Branch(Query g, AggKind kind, const std::string& head,
+                      bool tail) {
+    if (head == "window") g = g.Window(23);
+    if (head == "hop") g = g.HoppingWindow(40, 10);
+    if (head == "shift_window") g = g.AlterLifetime(
+        AlterLifetimeSpec::ShiftAndWindow(-5, 30));
+    if (head == "select_window") {
+      g = g.WhereCmp("V", CmpOp::kGt, Value(30.0)).Window(23);
+    }
+    AggregateSpec spec;
+    spec.kind = kind;
+    spec.value_column = "V";
+    spec.output_name = "agg";
+    g = g.Aggregate(spec);
+    if (tail) {
+      g = g.WhereCmp("agg", CmpOp::kGt,
+                     kind == AggKind::kCount ? Value(int64_t{1}) : Value(40.0));
+    }
+    return g;
+  }
+
   static Query MakePlan(const LoweringCase& c, bool per_group) {
     std::vector<std::string> keys = {"K"};
     if (c.string_key) keys.push_back("S");
     return Query::Input("S", KSV()).GroupApply(keys, [&](Query g) {
       if (per_group) g = g.SelectColumns({"K", "S", "V"});
-      const std::string head = c.head;
-      if (head == "window") g = g.Window(23);
-      if (head == "hop") g = g.HoppingWindow(40, 10);
-      if (head == "shift_window") g = g.AlterLifetime(
-          AlterLifetimeSpec::ShiftAndWindow(-5, 30));
-      if (head == "select_window") {
-        g = g.WhereCmp("V", CmpOp::kGt, Value(30.0)).Window(23);
+      if (c.branches.empty()) return Branch(g, c.kind, c.head, c.tail);
+      Query out = Branch(g, c.branches[0].first, c.branches[0].second, c.tail);
+      for (size_t b = 1; b < c.branches.size(); ++b) {
+        out = Query::Union(out, Branch(g, c.branches[b].first,
+                                       c.branches[b].second,
+                                       c.tail && b % 2 == 0));
       }
-      AggregateSpec spec;
-      spec.kind = c.kind;
-      spec.value_column = "V";
-      spec.output_name = "agg";
-      g = g.Aggregate(spec);
-      if (c.tail) {
-        g = g.WhereCmp("agg", CmpOp::kGt,
-                       c.kind == AggKind::kCount ? Value(int64_t{1})
-                                                 : Value(40.0));
-      }
-      return g;
+      return out;
     });
   }
 };
@@ -576,28 +618,37 @@ TEST_P(GroupedAggregateLowering, MatchesPerGroupBitForBit) {
   const LoweringCase& c = GetParam();
   const PlanNodePtr lowered = MakePlan(c, /*per_group=*/false).node();
   const PlanNodePtr per_group = MakePlan(c, /*per_group=*/true).node();
-  ASSERT_TRUE(MatchGroupedAggregate(*lowered).has_value());
+  const auto shape = MatchGroupedAggregate(*lowered);
+  ASSERT_TRUE(shape.has_value());
+  EXPECT_EQ(shape->branches.size(), std::max<size_t>(1, c.branches.size()));
   ASSERT_FALSE(MatchGroupedAggregate(*per_group).has_value());
 
-  const std::vector<Event> inputs = Inputs();
+  const std::vector<Event> inputs =
+      c.branches.empty() ? Inputs() : BurstyInputs();
   for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
     for (size_t thinning : {size_t{1}, size_t{16}}) {
-      const std::string what = "batch_size=" + std::to_string(batch_size) +
-                               " cti_thinning=" + std::to_string(thinning);
-      std::vector<Event> out[2];
-      uint64_t consumed[2];
-      for (int i = 0; i < 2; ++i) {
-        auto exec = Executor::Create(i == 0 ? lowered : per_group).ValueOrDie();
-        exec->set_batch_size(batch_size);
-        exec->set_cti_thinning(thinning);
-        auto got = exec->RunBatch({{"S", inputs}});
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        out[i] = std::move(got).ValueOrDie();
-        consumed[i] = exec->TotalEventsConsumed();
+      for (bool columnar : {true, false}) {
+        const std::string what =
+            "batch_size=" + std::to_string(batch_size) +
+            " cti_thinning=" + std::to_string(thinning) +
+            " columnar=" + std::to_string(columnar);
+        std::vector<Event> out[2];
+        uint64_t consumed[2];
+        for (int i = 0; i < 2; ++i) {
+          auto exec =
+              Executor::Create(i == 0 ? lowered : per_group).ValueOrDie();
+          exec->set_batch_size(batch_size);
+          exec->set_cti_thinning(thinning);
+          exec->set_columnar(columnar);
+          auto got = exec->RunBatch({{"S", inputs}});
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          out[i] = std::move(got).ValueOrDie();
+          consumed[i] = exec->TotalEventsConsumed();
+        }
+        EXPECT_FALSE(out[0].empty()) << what;
+        ExpectBitIdentical(out[1], out[0], what);
+        EXPECT_EQ(consumed[1], consumed[0]) << what;
       }
-      EXPECT_FALSE(out[0].empty()) << what;
-      ExpectBitIdentical(out[1], out[0], what);
-      EXPECT_EQ(consumed[1], consumed[0]) << what;
     }
   }
 }
@@ -611,6 +662,25 @@ std::vector<LoweringCase> LoweringCases() {
         for (bool string_key : {false, true}) {
           cases.push_back({kind, head, tail, string_key});
         }
+      }
+    }
+  }
+  // Union trees, appended so the single-chain cases keep their indices. A
+  // Union needs one output schema: Count with Count, Sum/Avg (double) mixed.
+  const std::vector<std::vector<std::pair<AggKind, const char*>>> unions = {
+      {{AggKind::kCount, "select_window"}, {AggKind::kCount, "hop"}},
+      {{AggKind::kSum, "hop"}, {AggKind::kAvg, "window"}},
+      {{AggKind::kCount, "window"},
+       {AggKind::kCount, "hop"},
+       {AggKind::kCount, "shift_window"}},
+      {{AggKind::kAvg, "shift_window"},
+       {AggKind::kSum, "select_window"},
+       {AggKind::kSum, "hop"}},
+  };
+  for (const auto& branches : unions) {
+    for (bool tail : {false, true}) {
+      for (bool string_key : {false, true}) {
+        cases.push_back({AggKind::kCount, "", tail, string_key, branches});
       }
     }
   }
